@@ -3,9 +3,11 @@
 FD receives the vertex subsets and tip-number ranges produced by CD and
 computes exact tip numbers.  Each subset is processed completely
 independently: a subgraph is induced on the subset (plus the whole ``V``
-side), supports are initialised from the ``⋈init`` snapshot, and sequential
-bottom-up peeling runs inside the subgraph.  The work is expressed as
-picklable task descriptors (:mod:`repro.engine.tasks`) handed to the
+side), supports are initialised from the ``⋈init`` snapshot, and exact
+bottom-up peeling runs inside the subgraph in min-support rounds (every
+vertex at the subset's current minimum support peels in one batch, as in
+ParButterfly, see :func:`~repro.peeling.bup.peel_rounds`).  The work is
+expressed as picklable task descriptors (:mod:`repro.engine.tasks`) handed to the
 execution context's backend — serial, thread pool, or a multiprocess worker
 pool over a shared-memory graph store — through a workload-aware dynamic
 task queue (largest estimated work first); workers only synchronise once,
@@ -42,6 +44,7 @@ class SubsetPeelRecord:
     support_updates: int
     elapsed_seconds: float
     peak_scratch_bytes: int = 0
+    rounds: int = 0
 
 
 @dataclass
@@ -81,7 +84,7 @@ def fine_grained_decomposition(
     cd_result:
         Output of :func:`~repro.core.cd.coarse_grained_decomposition`.
     enable_dgm:
-        Whether the per-subset sequential peels compact their induced
+        Whether the per-subset peels compact their induced
         adjacency (the induced subgraphs are small, so the paper leaves this
         off by default; it is exposed for ablations).
     context:
@@ -92,8 +95,8 @@ def fine_grained_decomposition(
         Sort the task queue by decreasing estimated work (WaS).  Disabling
         it reproduces the "original order" schedule of Fig. 3.
     peel_kernel:
-        Support-update kernel for the per-subset sequential peels
-        (``"batched"`` or ``"reference"``); each pop consumes one batched
+        Support-update kernel for the per-subset round peels
+        (``"batched"`` or ``"reference"``); each round consumes one
         :class:`~repro.peeling.update.SupportUpdate` through the shared
         kernel layer.
     wedge_budget, narrow_ids:
@@ -159,7 +162,8 @@ def fine_grained_decomposition(
                     wedges_traversed=result.wedges_traversed,
                     support_updates=result.support_updates,
                     elapsed_seconds=result.elapsed_seconds,
-                    peak_scratch_bytes=getattr(result, "peak_scratch_bytes", 0),
+                    peak_scratch_bytes=result.peak_scratch_bytes,
+                    rounds=result.rounds,
                 )
             )
             # Worker spans travelled back over the engine's pickle channel

@@ -25,7 +25,7 @@ from ..graph.bipartite import BipartiteGraph
 from ..kernels.workspace import WedgeWorkspace
 from ..obs.trace import NOOP_TRACER, Tracer
 from ..peeling.base import PeelingCounters
-from ..peeling.bup import peel_sequential
+from ..peeling.bup import peel_rounds
 
 __all__ = ["FdJob", "FdTask", "FdTaskResult", "build_fd_tasks", "execute_fd_task"]
 
@@ -69,6 +69,8 @@ class FdTaskResult:
     tip_numbers: np.ndarray
     elapsed_seconds: float
     peak_scratch_bytes: int = 0
+    # Min-support rounds the subset peel took (at most ``n_vertices``).
+    rounds: int = 0
     # Exported tracing spans (plain dicts) when the job asked for a trace;
     # they ride the same pickle channel as the rest of the result and the
     # parent re-bases them into its own tracer (see core/fd.py).
@@ -89,7 +91,7 @@ class FdJob:
         The ``⋈init`` vector of CD, indexed by parent-graph ``U`` id.
     enable_dgm, peel_kernel:
         Per-subset peel configuration, forwarded to
-        :func:`~repro.peeling.bup.peel_sequential`.
+        :func:`~repro.peeling.bup.peel_rounds`.
     wedge_budget, narrow_ids:
         Memory policy of the per-task
         :class:`~repro.kernels.workspace.WedgeWorkspace`: the wedge budget
@@ -152,9 +154,10 @@ def execute_fd_task(job: FdJob, task: FdTask) -> FdTaskResult:
     """Peel one FD subset to completion (the body of Alg. 4's task loop).
 
     Induces the subgraph on the subset (plus the whole ``V`` side),
-    initialises supports from the ``⋈init`` snapshot and runs the sequential
-    bottom-up peel.  Pure function of ``(job, task)`` — every backend calls
-    exactly this, in-process or in a worker.
+    initialises supports from the ``⋈init`` snapshot and peels it bottom-up
+    in min-support rounds (:func:`~repro.peeling.bup.peel_rounds`).  Pure
+    function of ``(job, task)`` — every backend calls exactly this,
+    in-process or in a worker.
     """
     subset = job.subsets_flat[task.start:task.stop]
     if subset.size == 0:
@@ -181,12 +184,12 @@ def execute_fd_task(job: FdJob, task: FdTask) -> FdTaskResult:
 
         # A fresh arena per task keeps peak accounting exact regardless of
         # which worker (thread, process, or the caller itself) runs the task;
-        # within the task every pop of the subset peel reuses its buffers.
+        # within the task every round of the subset peel reuses its buffers.
         workspace = WedgeWorkspace(
             wedge_budget=job.wedge_budget, narrow_ids=job.narrow_ids
         )
         local_counters = PeelingCounters()
-        local_tips, local_counters, _ = peel_sequential(
+        local_tips, local_counters = peel_rounds(
             induced_graph, "U", initial_supports,
             enable_dgm=job.enable_dgm, counters=local_counters,
             peel_kernel=job.peel_kernel, workspace=workspace,
@@ -197,6 +200,7 @@ def execute_fd_task(job: FdJob, task: FdTask) -> FdTaskResult:
             induced_edges=int(induced_graph.n_edges),
             wedges_traversed=int(local_counters.wedges_traversed),
             support_updates=int(local_counters.support_updates),
+            rounds=int(local_counters.synchronization_rounds),
             peak_scratch_bytes=int(workspace.peak_scratch_bytes),
         )
 
@@ -210,5 +214,6 @@ def execute_fd_task(job: FdJob, task: FdTask) -> FdTaskResult:
         tip_numbers=np.asarray(local_tips, dtype=np.int64),
         elapsed_seconds=task_span.duration,
         peak_scratch_bytes=int(workspace.peak_scratch_bytes),
+        rounds=int(local_counters.synchronization_rounds),
         spans=tuple(tracer.export()) if job.trace else (),
     )

@@ -93,6 +93,7 @@ class MetricSpec:
 METRIC_SPECS: Dict[str, Tuple[MetricSpec, ...]] = {
     "cd_peel_kernel": (
         MetricSpec("largest_speedup", "higher", 0.50, abs_floor=0.3),
+        MetricSpec("largest_fd_speedup", "higher", 0.50, abs_floor=0.3),
     ),
     "wedge_pipeline_kernels": (
         MetricSpec("largest_speedup", "higher", 0.50, abs_floor=0.2),

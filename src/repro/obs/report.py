@@ -105,6 +105,15 @@ def summarize(spans: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     for root in roots:
         root_counts[root["name"]] = root_counts.get(root["name"], 0) + 1
 
+    # FD tasks report how many min-support rounds peeled their vertices.
+    fd_tasks = [span["attrs"] for span in spans
+                if span["name"] == "fd.peel_subset" and "rounds" in span.get("attrs", {})]
+    fd_rounds = {
+        "tasks": len(fd_tasks),
+        "vertices": sum(int(attrs.get("n_vertices", 0)) for attrs in fd_tasks),
+        "rounds": sum(int(attrs["rounds"]) for attrs in fd_tasks),
+    }
+
     return {
         "n_spans": len(spans),
         "wall_seconds": wall,
@@ -113,6 +122,7 @@ def summarize(spans: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         # session records one streaming.update root per applied batch).
         "root_counts": root_counts,
         "phases": phases,
+        "fd_rounds": fd_rounds,
         "by_name": {
             name: {"count": int(c), "total_seconds": t, "self_seconds": s}
             for name, (c, t, s) in by_name.items()
@@ -145,6 +155,14 @@ def format_summary(spans: Sequence[Dict[str, Any]], top: int = 20) -> str:
         untraced = wall - accounted
         if wall > 0 and untraced / wall > 0.005:
             lines.append(_phase_row("(untraced)", untraced, wall))
+
+    fd_rounds = summary["fd_rounds"]
+    if fd_rounds["tasks"]:
+        lines.append("")
+        lines.append(
+            f"fd rounds: {fd_rounds['rounds']} rounds peeled {fd_rounds['vertices']}"
+            f" vertices in {fd_rounds['tasks']} subset tasks"
+        )
 
     by_name = summary["by_name"]
     if by_name:

@@ -2,7 +2,7 @@
 
 from .base import PeelingCounters, TipDecompositionResult
 from .bucketing import BucketQueue
-from .bup import bup_decomposition, peel_sequential
+from .bup import bup_decomposition, peel_rounds, peel_sequential
 from .minheap import LazyMinHeap
 from .parbutterfly import parbutterfly_decomposition
 from .reference import peel_batch_reference, peel_vertex_reference
@@ -13,6 +13,7 @@ __all__ = [
     "TipDecompositionResult",
     "BucketQueue",
     "bup_decomposition",
+    "peel_rounds",
     "peel_sequential",
     "LazyMinHeap",
     "parbutterfly_decomposition",

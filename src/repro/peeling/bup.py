@@ -1,10 +1,15 @@
-"""Sequential bottom-up peeling (BUP, Alg. 2) — the exact baseline.
+"""Exact bottom-up peeling: sequential BUP (Alg. 2) and min-support rounds.
 
 BUP initialises supports with per-vertex butterfly counts and repeatedly
 peels a vertex with minimum support, recording that support as its tip
 number and decrementing the supports of its 2-hop neighbours.  This is the
-algorithm of Sariyuce & Pinar and the sequential baseline of Table 3; it is
-also the kernel RECEIPT FD applies to every induced subgraph.
+algorithm of Sariyuce & Pinar and the sequential baseline of Table 3
+(:func:`peel_sequential`, one heap pop per vertex).
+
+:func:`peel_rounds` computes the same tip numbers level-synchronously, as
+ParButterfly's rounds do: every vertex at the current minimum support is
+peeled in one batch clamped at that level.  It is the kernel RECEIPT FD
+applies to every induced subgraph, and the streaming repair's re-peel.
 """
 
 from __future__ import annotations
@@ -15,13 +20,23 @@ from ..butterfly.counting import ButterflyCounts, count_per_vertex
 from ..errors import BudgetExceededError
 from ..graph.bipartite import BipartiteGraph, validate_side
 from ..graph.dynamic import PeelableAdjacency
-from ..kernels.workspace import WedgeWorkspace
+from ..kernels.workspace import ROUND_WEDGE_BUDGET, WedgeWorkspace
 from ..obs.trace import current_tracer
 from .base import PeelingCounters, TipDecompositionResult
 from .minheap import LazyMinHeap
-from .update import peel_vertex
+from .update import peel_batch, peel_vertex
 
-__all__ = ["bup_decomposition", "peel_sequential"]
+__all__ = ["bup_decomposition", "peel_rounds", "peel_sequential"]
+
+
+def _copy_supports(graph: BipartiteGraph, side: str, initial_supports) -> np.ndarray:
+    supports = np.array(initial_supports, dtype=np.int64, copy=True)
+    n_side = graph.side_size(side)
+    if supports.shape[0] != n_side:
+        raise ValueError(
+            f"initial_supports has {supports.shape[0]} entries, expected {n_side}"
+        )
+    return supports
 
 
 def peel_sequential(
@@ -70,16 +85,11 @@ def peel_sequential(
     (tip_numbers, counters, peel_order)
     """
     side = validate_side(side)
-    n_side = graph.side_size(side)
     counters = counters if counters is not None else PeelingCounters()
     workspace = workspace if workspace is not None else WedgeWorkspace()
-    supports = np.array(initial_supports, dtype=np.int64, copy=True)
-    if supports.shape[0] != n_side:
-        raise ValueError(
-            f"initial_supports has {supports.shape[0]} entries, expected {n_side}"
-        )
+    supports = _copy_supports(graph, side, initial_supports)
 
-    tip_numbers = np.zeros(n_side, dtype=np.int64)
+    tip_numbers = np.zeros(supports.shape[0], dtype=np.int64)
     adjacency = PeelableAdjacency(graph, side, enable_dgm=enable_dgm,
                                   narrow_ids=workspace.narrow_ids)
     heap = LazyMinHeap(supports)
@@ -115,6 +125,85 @@ def peel_sequential(
         counters.peak_scratch_bytes, workspace.peak_scratch_bytes
     )
     return tip_numbers, counters, peel_order
+
+
+def peel_rounds(
+    graph: BipartiteGraph,
+    side: str,
+    initial_supports: np.ndarray,
+    *,
+    enable_dgm: bool = False,
+    counters: PeelingCounters | None = None,
+    peel_kernel: str = "batched",
+    workspace: WedgeWorkspace | None = None,
+) -> tuple[np.ndarray, PeelingCounters]:
+    """Exact bottom-up peeling in min-support rounds (RECEIPT FD's peel).
+
+    Each round takes every alive vertex whose support equals the current
+    minimum, records that level as their tip number and peels them in one
+    :func:`~repro.peeling.update.peel_batch` call clamped at the level.  The
+    clamp keeps every vertex a round touches at or above the level, so the
+    tip numbers and (with DGM off) ``wedges_traversed`` equal
+    :func:`peel_sequential`'s.  ``support_updates`` takes the batch
+    meaning CD and ParB use: updates between same-round peers are dropped.
+    It can differ from :func:`peel_sequential`'s only on pairs of vertices
+    with the same tip number, which the two orders peel differently.  With
+    DGM on, a compaction inside a round already drops the whole round, so
+    ``wedges_traversed`` follows the round schedule (never above the
+    DGM-off count).  A round of one vertex goes to :func:`~repro.peeling.update.peel_vertex`,
+    whose run-length fast path a one-member batch would miss.
+
+    Parameters match :func:`peel_sequential`.  Rounds gather wedges in
+    chunks of at most :data:`~repro.kernels.workspace.ROUND_WEDGE_BUDGET`
+    endpoints (or the workspace's budget, if smaller).  Each round adds one
+    to ``counters.synchronization_rounds``.
+
+    Returns
+    -------
+    (tip_numbers, counters)
+    """
+    side = validate_side(side)
+    counters = counters if counters is not None else PeelingCounters()
+    workspace = workspace if workspace is not None else WedgeWorkspace()
+    supports = _copy_supports(graph, side, initial_supports)
+
+    tip_numbers = np.zeros(supports.shape[0], dtype=np.int64)
+    adjacency = PeelableAdjacency(graph, side, enable_dgm=enable_dgm,
+                                  narrow_ids=workspace.narrow_ids)
+    # Supports of the alive vertices; peeled ones sit at the int64 maximum,
+    # so a plain min finds the next level.
+    pending = supports.copy()
+    peeled = np.iinfo(np.int64).max
+    n_alive = supports.shape[0]
+
+    with workspace.budget_capped(ROUND_WEDGE_BUDGET):
+        while n_alive:
+            level = int(pending.min())
+            batch = np.flatnonzero(pending == level)
+            pending[batch] = peeled
+            tip_numbers[batch] = level
+            n_alive -= batch.shape[0]
+            if batch.shape[0] == 1:
+                vertex = int(batch[0])
+                adjacency.mark_peeled(vertex)
+                update = peel_vertex(adjacency, supports, vertex, level,
+                                     kernel=peel_kernel, workspace=workspace)
+                adjacency.maybe_compact()
+            else:
+                update = peel_batch(adjacency, supports, batch, level,
+                                    kernel=peel_kernel, workspace=workspace)
+            pending[update.updated_vertices] = update.new_supports
+            counters.wedges_traversed += update.wedges_traversed
+            counters.peeling_wedges += update.wedges_traversed
+            counters.support_updates += update.support_updates
+            counters.synchronization_rounds += 1
+
+    counters.vertices_peeled += supports.shape[0]
+    counters.dgm_compactions += adjacency.compactions_performed
+    counters.peak_scratch_bytes = max(
+        counters.peak_scratch_bytes, workspace.peak_scratch_bytes
+    )
+    return tip_numbers, counters
 
 
 def bup_decomposition(

@@ -22,12 +22,13 @@ from repro.graph.dynamic import PeelableAdjacency
 from repro.kernels.peel import key_counts
 from repro.kernels.workspace import (
     DEFAULT_WEDGE_BUDGET,
+    ROUND_WEDGE_BUDGET,
     WedgeWorkspace,
     budget_spans,
     default_wedge_budget,
     resolve_wedge_budget,
 )
-from repro.peeling.bup import bup_decomposition
+from repro.peeling.bup import bup_decomposition, peel_rounds
 from repro.peeling.update import peel_batch
 
 INT32_MAX = np.iinfo(np.int32).max
@@ -118,6 +119,18 @@ class TestWorkspace:
         assert WedgeWorkspace(wedge_budget=7).wedge_budget == 7
         assert WedgeWorkspace(wedge_budget=None).wedge_budget is None
         assert resolve_wedge_budget(123) == 123
+
+    def test_budget_capped_lowers_then_restores(self):
+        for configured, inside in ((None, 100), (1 << 18, 100), (7, 7)):
+            workspace = WedgeWorkspace(wedge_budget=configured)
+            with workspace.budget_capped(100):
+                assert workspace.wedge_budget == inside
+            assert workspace.wedge_budget == configured
+        workspace = WedgeWorkspace(wedge_budget=None)
+        with pytest.raises(RuntimeError):
+            with workspace.budget_capped(100):
+                raise RuntimeError("boom")
+        assert workspace.wedge_budget is None
 
     @given(st.lists(st.integers(min_value=0, max_value=50), max_size=40),
            st.one_of(st.none(), st.integers(min_value=1, max_value=120)))
@@ -287,6 +300,25 @@ class TestPeakAccounting:
             peel_batch(adjacency, supports, batch, 0, workspace=workspace)
             peaks[name] = workspace.peak_scratch_bytes
         assert peaks["budgeted"] < peaks["unbudgeted"]
+
+    def test_round_peel_chunks_within_the_round_budget(self):
+        # One heavy level: every U vertex of a dense graph at equal support
+        # peels in a single round, far above ROUND_WEDGE_BUDGET endpoints.
+        graph = seeded_graph(11, n_u=300, n_v=120, density=0.6)
+        supports = np.zeros(graph.n_u, dtype=np.int64)
+        peaks = {}
+        for name, budget in (("default", None), ("capped", ROUND_WEDGE_BUDGET)):
+            workspace = WedgeWorkspace(wedge_budget=budget)
+            adjacency = PeelableAdjacency(graph, "U", enable_dgm=False)
+            peel_batch(adjacency, supports.copy(), np.arange(graph.n_u), 0,
+                       workspace=workspace)
+            peaks[name] = workspace.peak_scratch_bytes
+        workspace = WedgeWorkspace(wedge_budget=None)
+        tips, counters = peel_rounds(graph, "U", supports, workspace=workspace)
+        assert counters.synchronization_rounds == 1
+        assert counters.wedges_traversed > ROUND_WEDGE_BUDGET
+        assert counters.peak_scratch_bytes == peaks["capped"] < peaks["default"]
+        assert workspace.wedge_budget is None
 
     def test_counters_report_workspace_peak(self):
         graph = seeded_graph(5, n_u=30, n_v=18)

@@ -284,6 +284,20 @@ class TestReports:
         assert "receipt" in summary["roots"]
         assert summary["phases"]
 
+    def test_summary_reports_fd_rounds_against_vertices(self, tmp_path):
+        tracer = self._traced_run()
+        path = tmp_path / "trace.json"
+        write_trace(tracer, str(path))
+        spans = load_trace(str(path))
+        tasks = [span for span in spans if span["name"] == "fd.peel_subset"]
+        assert tasks and all("rounds" in span["attrs"] for span in tasks)
+        fd_rounds = summarize(spans)["fd_rounds"]
+        assert fd_rounds["tasks"] == len(tasks)
+        assert fd_rounds["vertices"] == 30
+        assert 1 <= fd_rounds["rounds"] <= fd_rounds["vertices"]
+        assert (f"fd rounds: {fd_rounds['rounds']} rounds peeled 30 vertices"
+                in format_summary(spans))
+
     def test_format_summary_is_readable(self, tmp_path):
         tracer = self._traced_run()
         path = tmp_path / "trace.json"
