@@ -10,9 +10,9 @@ and RECEIPT CD once, then re-runs the FD phase — the embarrassingly
 parallel part of RECEIPT — through the execution engine:
 
 * ``serial`` backend (reference semantics, also the correctness oracle),
+  and
 * ``process`` backend at each requested worker count, over the
-  shared-memory graph store with a pre-warmed persistent pool, and
-* ``thread`` backend at the largest worker count, for the GIL comparison.
+  shared-memory graph store with a pre-warmed persistent pool.
 
 Every run is checked for bit-identical tip numbers, ``wedges_traversed``
 and ``support_updates`` against the serial oracle — the script exits
@@ -152,18 +152,6 @@ def main(argv=None) -> int:
               f"(projected ideal speedup {projection.projected_speedup:.2f}x)")
 
     max_workers = max(worker_counts)
-    with ExecutionContext(max_workers, backend="thread") as context:
-        context.engine.warmup()
-        thread_result, thread_seconds = run_fd(graph, cd_result, context=context, rounds=rounds)
-    check_identical(serial_result, thread_result, f"thread[{max_workers}]")
-    runs.append({
-        "backend": "thread",
-        "workers": max_workers,
-        "fd_seconds": round(thread_seconds, 4),
-        "speedup_vs_serial": round(serial_seconds / max(thread_seconds, 1e-9), 2),
-    })
-    print(f"thread[{max_workers}]: fd={thread_seconds:.4f}s")
-
     one_worker = process_seconds.get(1, serial_seconds)
     best_workers = min(process_seconds, key=process_seconds.get)
     fanout_speedup = one_worker / max(process_seconds[max_workers], 1e-9)

@@ -12,7 +12,7 @@ decomposition of Bipartite Graphs* (Lakhotia, Kannan, Prasanna, De Rose):
 * the RECEIPT algorithm itself — coarse- and fine-grained decomposition
   with the HUC and DGM optimizations (:mod:`repro.core`),
 * a multiprocess execution engine — shared-memory graph store plus
-  pluggable serial / thread / process backends for the FD task fan-out
+  serial and process backends for the FD task fan-out
   (:mod:`repro.engine`),
 * synthetic stand-ins for the paper's evaluation datasets
   (:mod:`repro.datasets`),

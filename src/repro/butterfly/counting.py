@@ -22,10 +22,11 @@ Three entry points are provided:
 
 * :func:`count_per_vertex` — the public API; picks an algorithm by name.
 * :func:`count_per_vertex_priority` — sequential vertex-priority counting.
-* :func:`count_per_vertex_parallel` — the same kernel executed over an
-  :class:`~repro.parallel.threadpool.ExecutionContext` with per-thread
-  buffers (the "batch aggregation" mode of ParButterfly that the paper
-  adopts for support initialisation).
+* :func:`count_per_vertex_parallel` — the same kernel with its two
+  per-side parallel-for regions recorded on an
+  :class:`~repro.parallel.threadpool.ExecutionContext` (the "batch
+  aggregation" mode of ParButterfly that the paper adopts for support
+  initialisation), so the cost model can project its speedup.
 """
 
 from __future__ import annotations
@@ -280,13 +281,16 @@ def count_per_vertex_parallel(
     *,
     workspace: WedgeWorkspace | None = None,
 ) -> ButterflyCounts:
-    """Vertex-priority counting parallelised over start vertices.
+    """Vertex-priority counting accounted as one parallel-for per side.
 
-    Start vertices are split into work-balanced chunks; every chunk runs
-    the same start-major fold as the sequential kernel into private buffers
-    which are merged after the implicit barrier, mirroring the
-    batch-aggregation mode the paper adopts from ParButterfly.  Counts are
-    identical to the sequential kernel (pairs never span two chunks).
+    Each side's start vertices form one parallel region — recorded on
+    ``context`` with the start vertices as tasks and their degrees as work,
+    mirroring the batch-aggregation mode the paper adopts from ParButterfly
+    — so the cost model can project Figs. 10/11.  The region itself runs
+    the sequential kernel's start-major fold on the calling thread, in a
+    private arena carrying the run's memory policy (its peak folds back
+    into ``workspace``'s accounting).  Counts and wedge totals are identical
+    to :func:`count_per_vertex_priority`.
     """
     context = context or ExecutionContext()
     workspace = workspace_or_default(workspace)
@@ -301,37 +305,24 @@ def count_per_vertex_parallel(
         ("V", "U", graph.n_v, priority.v_rank, priority.u_rank, v_counts, u_counts),
     ):
         index = _build_ranked_index(graph, mid_side, endpoint_ranks, workspace)
-        starts = np.arange(start_count)
         work = graph.degrees(start_side).astype(np.float64)
-
-        def chunk_body(chunk, *, _start_side=start_side, _ep_ranks=endpoint_ranks,
-                       _mid_ranks=mid_ranks, _index=index,
-                       _n_same=same_target.shape[0], _n_other=other_target.shape[0]):
-            # A private arena per chunk carrying the run's memory policy:
-            # the wedge budget and narrowing apply inside workers too, and
-            # the chunk's peak folds back into the run's accounting below.
-            local_workspace = WedgeWorkspace(
-                wedge_budget=workspace.wedge_budget,
-                narrow_ids=workspace.narrow_ids,
-            )
-            local_same = np.zeros(_n_same, dtype=np.int64)
-            local_other = np.zeros(_n_other, dtype=np.int64)
-            traversed = _fold_priority_starts(
-                graph, _start_side, np.asarray(chunk, dtype=np.int64),
-                _ep_ranks, _mid_ranks, _index, local_same, local_other,
-                local_workspace,
-            )
-            return local_same, local_other, traversed, local_workspace.peak_scratch_bytes
-
-        results = context.map_chunks(
-            list(starts), chunk_body, name=f"pvBcnt[{start_side}]", work_per_item=list(work)
+        context.record_barrier(f"pvBcnt[{start_side}]", n_tasks=start_count,
+                               total_work=float(work.sum()), task_work=work.tolist())
+        if start_count == 0:
+            continue
+        # A private arena: folding into the run's shared arena instead keeps
+        # its larger counting buffers alive through CD and FD.
+        local_workspace = WedgeWorkspace(
+            wedge_budget=workspace.wedge_budget,
+            narrow_ids=workspace.narrow_ids,
         )
-        for local_same, local_other, traversed, local_peak in results:
-            same_target += local_same
-            other_target += local_other
-            total_wedges += traversed
-            if local_peak > workspace.peak_scratch_bytes:
-                workspace.peak_scratch_bytes = local_peak
+        total_wedges += _fold_priority_starts(
+            graph, start_side, np.arange(start_count, dtype=np.int64),
+            endpoint_ranks, mid_ranks, index, same_target, other_target,
+            local_workspace,
+        )
+        if local_workspace.peak_scratch_bytes > workspace.peak_scratch_bytes:
+            workspace.peak_scratch_bytes = local_workspace.peak_scratch_bytes
 
     return ButterflyCounts(u_counts=u_counts, v_counts=v_counts,
                            wedges_traversed=total_wedges, algorithm="vertex-priority-parallel")

@@ -47,7 +47,7 @@ Global flags: ``--log-format {text,json}`` switches the ``repro.*``
 loggers to JSON-lines output (one object per line, machine-parseable)
 and ``--log-level`` sets their threshold.
 
-``decompose`` and ``compare`` accept ``--backend {serial,thread,process}``
+``decompose`` and ``compare`` accept ``--backend {serial,process}``
 to pick the execution engine for RECEIPT FD's task fan-out: ``process``
 places the graph in shared memory and dispatches the per-subset peels to
 ``--threads`` worker processes (bit-identical results, real wall-clock
@@ -113,12 +113,13 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default) or the per-vertex reference loop "
                              "(ablation baseline)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker count for RECEIPT's execution backend")
+                        help="worker count of the process backend (also the "
+                             "thread count reported to the cost model)")
     parser.add_argument("--backend", default="serial", choices=list(BACKEND_NAMES),
                         help="execution engine for RECEIPT FD's task fan-out: "
-                             "in-process serial (default), a thread pool, or a "
-                             "multiprocess worker pool over a shared-memory "
-                             "graph store (bit-identical results)")
+                             "in-process serial (default) or a multiprocess "
+                             "worker pool over a shared-memory graph store "
+                             "(bit-identical results)")
     parser.add_argument("--wedge-budget", type=int, default=None,
                         help="wedge endpoints a kernel chunk may materialise at "
                              "once — caps the wedge pipeline's peak scratch "

@@ -123,9 +123,9 @@ def coarse_grained_decomposition(
         design-choice ablation benchmark.
     context:
         Execution context used for synchronization-round accounting and for
-        the parallel cost model.  With more than one thread, each range-peel
-        iteration fans its wedge gather out over batch slices
-        (``map_chunks`` with private buffers merged by the kernel).
+        the parallel cost model.  Every range-peel iteration runs on the
+        calling thread and records one region, so results and regions do
+        not depend on the context's thread count.
     peel_kernel:
         Support-update kernel used by the range-peel iterations: the shared
         vectorized ``"batched"`` kernel (default) or the per-vertex
@@ -222,8 +222,7 @@ def coarse_grained_decomposition(
                         candidate_vertices = still_alive
                     else:
                         update = peel_batch(adjacency, supports, active_set, lower_bound,
-                                            kernel=peel_kernel, context=context,
-                                            workspace=workspace)
+                                            kernel=peel_kernel, workspace=workspace)
                         counters.wedges_traversed += update.wedges_traversed
                         counters.peeling_wedges += update.wedges_traversed
                         counters.support_updates += update.support_updates

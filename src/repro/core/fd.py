@@ -8,8 +8,8 @@ bottom-up peeling runs inside the subgraph in min-support rounds (every
 vertex at the subset's current minimum support peels in one batch, as in
 ParButterfly, see :func:`~repro.peeling.bup.peel_rounds`).  The work is
 expressed as picklable task descriptors (:mod:`repro.engine.tasks`) handed to the
-execution context's backend — serial, thread pool, or a multiprocess worker
-pool over a shared-memory graph store — through a workload-aware dynamic
+execution context's backend — serial, or a multiprocess worker pool over a
+shared-memory graph store — through a workload-aware dynamic
 task queue (largest estimated work first); workers only synchronise once,
 when the queue drains, and results are bit-identical across backends.
 """
@@ -88,7 +88,7 @@ def fine_grained_decomposition(
         adjacency (the induced subgraphs are small, so the paper leaves this
         off by default; it is exposed for ablations).
     context:
-        Execution context; its configured backend (``serial`` / ``thread`` /
+        Execution context; its configured backend (``serial`` or
         ``process``) executes the task queue, and FD records a single
         synchronization round (the final barrier of the queue).
     workload_aware:
@@ -167,8 +167,8 @@ def fine_grained_decomposition(
                 )
             )
             # Worker spans travelled back over the engine's pickle channel
-            # (serial, thread and process backends all populate them the same
-            # way); re-base them under this phase's span.
+            # (serial and process backends populate them the same way);
+            # re-base them under this phase's span.
             if tracer.recording and result.spans:
                 tracer.add_spans(result.spans, parent=fd_span)
 

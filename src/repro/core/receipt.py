@@ -61,18 +61,14 @@ class ReceiptConfig:
         Two-way adaptive range determination (Sec. 3.1.1); disable to fall
         back to a static per-subset wedge target (ablation only).
     n_threads:
-        Logical thread count used for work partitioning and reported to the
-        parallel cost model; also the worker count of the execution backend.
-    use_real_threads:
-        Execute parallel regions on OS threads (off by default; the GIL
-        makes this a losing proposition for the pure-Python kernels).
-        Equivalent to ``backend="thread"`` for the FD task queue.
+        Worker count of the ``process`` backend and the thread count
+        reported to the parallel cost model.  Tip numbers, work counters
+        and recorded regions do not depend on it.
     backend:
-        Execution backend for FD's task fan-out: ``"serial"`` (default),
-        ``"thread"``, or ``"process"`` — the multiprocess engine that puts
-        the graph in shared memory and dispatches task descriptors to a
-        worker pool (:mod:`repro.engine`).  Results are bit-identical
-        across backends.
+        Execution backend for FD's task fan-out: ``"serial"`` (default) or
+        ``"process"`` — the multiprocess engine that puts the graph in
+        shared memory and dispatches task descriptors to a worker pool
+        (:mod:`repro.engine`).  Results are bit-identical across backends.
     workload_aware_scheduling:
         Sort FD's task queue by decreasing estimated work.
     counting_algorithm:
@@ -97,7 +93,6 @@ class ReceiptConfig:
     huc_cost_factor: float = 3.0
     adaptive_range_targets: bool = True
     n_threads: int = 1
-    use_real_threads: bool = False
     backend: str = "serial"
     workload_aware_scheduling: bool = True
     counting_algorithm: str = "parallel"
@@ -166,14 +161,7 @@ def receipt_decomposition(
     workspace = WedgeWorkspace(wedge_budget=resolve_wedge_budget(config.wedge_budget))
     owns_context = context is None
     if context is None:
-        effective_backend = config.backend
-        if effective_backend == "serial" and config.use_real_threads:
-            effective_backend = "thread"
-        context = ExecutionContext(
-            config.n_threads,
-            use_real_threads=config.use_real_threads,
-            backend=effective_backend,
-        )
+        context = ExecutionContext(config.n_threads, backend=config.backend)
     total_counters = PeelingCounters()
     phase_counters: dict[str, PeelingCounters] = {}
     tracer = current_tracer()
@@ -245,8 +233,8 @@ def receipt_decomposition(
             )
         finally:
             if owns_context:
-                # Release pooled workers (threads or processes) the run created;
-                # callers who passed a context keep ownership of its pools.
+                # Release the worker processes the run created; callers who
+                # passed a context keep ownership of its pool.
                 context.shutdown()
 
     for phase in phase_counters.values():

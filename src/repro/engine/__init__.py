@@ -11,8 +11,8 @@ execution.  It has three parts:
 * :mod:`repro.engine.shm` — the shared-memory store: dual-CSR graph arrays,
   flat subsets and ``⋈init`` supports exported once per fan-out and
   attached zero-copy by workers.
-* :mod:`repro.engine.backends` — ``serial`` / ``thread`` / ``process``
-  backends behind one interface, selected through
+* :mod:`repro.engine.backends` — ``serial`` and ``process`` backends
+  behind one interface, selected through
   :class:`~repro.parallel.threadpool.ExecutionContext` (``backend=...``,
   CLI ``--backend``).
 """
@@ -22,7 +22,6 @@ from .backends import (
     EngineBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     create_backend,
     default_start_method,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "BACKEND_NAMES",
     "EngineBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "create_backend",
     "default_start_method",

@@ -1,15 +1,10 @@
 """Pluggable execution backends for the FD task fan-out.
 
-Three interchangeable implementations of :class:`EngineBackend` run the same
+Two interchangeable implementations of :class:`EngineBackend` run the same
 :func:`~repro.engine.tasks.execute_fd_task` bodies:
 
 ``serial``
     In-order execution on the calling thread — the reference semantics.
-``thread``
-    A ``ThreadPoolExecutor`` fan-out.  CPython's GIL serialises the pure
-    Python portions, so this mostly overlaps the numpy segments; it exists
-    as the cheap middle rung and for API parity with the paper's
-    shared-memory threading.
 ``process``
     A persistent ``ProcessPoolExecutor`` whose workers attach to the job's
     shared-memory graph store (:mod:`repro.engine.shm`) zero-copy.  Tasks
@@ -18,9 +13,11 @@ Three interchangeable implementations of :class:`EngineBackend` run the same
     This is the backend that produces real wall-clock scaling on multicore
     hardware (Fig. 10 of the paper).
 
-Because every backend runs the identical task body on identical inputs and
+Because both backends run the identical task body on identical inputs and
 the caller merges results in task order, tip numbers and work counters are
-bit-identical across backends — only ``elapsed_seconds`` differs.
+bit-identical across backends — only ``elapsed_seconds`` differs.  (An
+in-process thread pool is deliberately absent: the GIL serialises the
+pure-Python task bodies, so it ran no faster than ``serial``.)
 """
 
 from __future__ import annotations
@@ -29,9 +26,10 @@ import multiprocessing
 import os
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 from ..errors import ReproError
+from ..parallel.threadpool import BACKEND_NAMES
 from .shm import AttachedFdJob, SharedFdJobSpec, attach_fd_job, share_fd_job
 from .tasks import FdJob, FdTask, FdTaskResult, execute_fd_task
 
@@ -39,12 +37,9 @@ __all__ = [
     "BACKEND_NAMES",
     "EngineBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "create_backend",
 ]
-
-BACKEND_NAMES = ("serial", "thread", "process")
 
 #: Environment override for the multiprocessing start method ("fork",
 #: "spawn" or "forkserver"); the default prefers fork on Linux for its
@@ -80,43 +75,6 @@ class SerialBackend(EngineBackend):
 
     def run_fd_tasks(self, job: FdJob, tasks: list[FdTask]) -> list[FdTaskResult]:
         return [execute_fd_task(job, task) for task in tasks]
-
-
-class ThreadBackend(EngineBackend):
-    """Fan-out on a persistent ``ThreadPoolExecutor``.
-
-    An already running executor may be borrowed (``executor=...``) so a
-    caller that owns a thread pool — ``ExecutionContext`` with
-    ``backend="thread"`` does — shares it instead of doubling the OS-thread
-    count; borrowed executors are never shut down here.
-    """
-
-    name = "thread"
-
-    def __init__(self, n_workers: int = 1, *, executor: ThreadPoolExecutor | None = None):
-        super().__init__(n_workers)
-        self._executor = executor
-        self._owns_executor = executor is None
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.n_workers)
-        return self._executor
-
-    def run_fd_tasks(self, job: FdJob, tasks: list[FdTask]) -> list[FdTaskResult]:
-        if self.n_workers == 1 or len(tasks) <= 1:
-            return [execute_fd_task(job, task) for task in tasks]
-        executor = self._ensure_executor()
-        futures = [executor.submit(execute_fd_task, job, task) for task in tasks]
-        return [future.result() for future in futures]
-
-    def warmup(self) -> None:
-        self._ensure_executor()
-
-    def shutdown(self) -> None:
-        if self._executor is not None and self._owns_executor:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
 
 # ----------------------------------------------------------------------
@@ -211,10 +169,11 @@ class ProcessBackend(EngineBackend):
             method = self.start_method
             if (method == "fork" and not self._start_method_pinned
                     and threading.active_count() > 1):
-                # Forking a multi-threaded parent (e.g. backend="process"
-                # combined with use_real_threads) can deadlock the child on
-                # locks held by parent threads; prefer the safe start method
-                # unless the caller explicitly pinned fork.
+                # Forking a multi-threaded parent (e.g. a decomposition run
+                # from one of the server's request or writer threads) can
+                # deadlock the child on locks held by the other threads;
+                # prefer the safe start method unless the caller explicitly
+                # pinned fork.
                 method = "spawn"
             context = multiprocessing.get_context(method)
             self._executor = ProcessPoolExecutor(
@@ -248,13 +207,12 @@ class ProcessBackend(EngineBackend):
 
 _BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 
 
 def create_backend(name: str, *, n_workers: int = 1, **options) -> EngineBackend:
-    """Instantiate a backend by name (``serial`` / ``thread`` / ``process``)."""
+    """Instantiate a backend by name (``serial`` or ``process``)."""
     key = str(name).lower()
     if key not in _BACKENDS:
         raise ReproError(

@@ -173,7 +173,7 @@ def execute_fd_task(job: FdJob, task: FdTask) -> FdTaskResult:
         )
 
     # A worker-local tracer keeps span collection identical across the
-    # serial, thread and process backends: spans never touch global state,
+    # serial and process backends: spans never touch global state,
     # they only travel back inside the (picklable) result.
     tracer = Tracer(recording=True) if job.trace else NOOP_TRACER
     task_span = tracer.timed("fd.peel_subset", subset=task.subset_index)
@@ -183,7 +183,7 @@ def execute_fd_task(job: FdJob, task: FdTask) -> FdTaskResult:
         initial_supports = job.init_supports[subset]
 
         # A fresh arena per task keeps peak accounting exact regardless of
-        # which worker (thread, process, or the caller itself) runs the task;
+        # which worker process (or the caller itself) runs the task;
         # within the task every round of the subset peel reuses its buffers.
         workspace = WedgeWorkspace(
             wedge_budget=job.wedge_budget, narrow_ids=job.narrow_ids

@@ -1,31 +1,14 @@
-"""Parallel execution substrate: contexts, atomics, primitives, cost model."""
+"""Parallel execution substrate: execution context and cost model."""
 
-from .atomics import AtomicArray, AtomicCounter
 from .costmodel import DEFAULT_BARRIER_COST, ParallelCostModel, RegionCost, SpeedupPoint
-from .primitives import (
-    balanced_chunks,
-    chunk_ranges,
-    exclusive_prefix_sum,
-    histogram_by_key,
-    inclusive_prefix_sum,
-    parallel_filter,
-)
 from .threadpool import BACKEND_NAMES, ExecutionContext, ParallelRegionRecord
 
 __all__ = [
     "BACKEND_NAMES",
-    "AtomicArray",
-    "AtomicCounter",
     "DEFAULT_BARRIER_COST",
     "ParallelCostModel",
     "RegionCost",
     "SpeedupPoint",
-    "balanced_chunks",
-    "chunk_ranges",
-    "exclusive_prefix_sum",
-    "histogram_by_key",
-    "inclusive_prefix_sum",
-    "parallel_filter",
     "ExecutionContext",
     "ParallelRegionRecord",
 ]

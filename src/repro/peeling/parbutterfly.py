@@ -102,8 +102,7 @@ def parbutterfly_decomposition(
 
             with tracer.span("parb.round") as round_span:
                 update = peel_batch(adjacency, supports, batch, threshold,
-                                    kernel=peel_kernel, context=context,
-                                    workspace=workspace)
+                                    kernel=peel_kernel, workspace=workspace)
             if round_span.recording:
                 round_span.set(vertices_peeled=int(batch.size),
                                wedges_traversed=int(update.wedges_traversed))

@@ -37,7 +37,6 @@ import numpy as np
 from ..graph.dynamic import PeelableAdjacency
 from ..kernels.csr import gather_rows, segment_offsets, segment_sums
 from ..kernels.peel import (
-    BatchDecrements,
     apply_clamped_decrements,
     count_pair_wedges,
     key_counts,
@@ -187,10 +186,9 @@ def peel_batch(
     threshold: int,
     *,
     kernel: str = "batched",
-    context=None,
     workspace: WedgeWorkspace | None = None,
 ) -> SupportUpdate:
-    """Peel a set of vertices "concurrently" (one CD / ParB round).
+    """Peel a set of vertices "concurrently" (one CD / ParB / FD round).
 
     All vertices are marked peeled *before* any update is computed, so
     updates between members of the batch are dropped — exactly the behaviour
@@ -210,12 +208,6 @@ def peel_batch(
         ``"batched"`` (default) or ``"reference"`` (the per-vertex loop kept
         in :mod:`repro.peeling.reference` for ablations and equivalence
         tests).
-    context:
-        Optional :class:`~repro.parallel.threadpool.ExecutionContext`.  When
-        it carries more than one thread, the wedge gather and pair counting
-        fan out over work-balanced batch slices with private buffers
-        (``map_chunks``) and the kernel merges the slices before the single
-        decrement application; results are identical to the serial path.
     workspace:
         Scratch arena + memory policy (wedge budget, int32 narrowing); the
         calling thread's default arena when omitted.
@@ -254,7 +246,7 @@ def peel_batch(
         budget = adjacency.wedges_until_compaction()
         stop, wedges_per_vertex, range_starts, range_lengths = _find_compaction_split(
             start, n_batch, budget, centers, center_starts, centers_per_vertex,
-            center_offsets, need_weights=context is not None and context.n_threads > 1,
+            center_offsets,
         )
 
         sub_batch = vertices[start:stop]
@@ -275,7 +267,6 @@ def peel_batch(
             wedges_per_vertex,
             range_starts,
             range_lengths,
-            context,
             workspace,
         )
 
@@ -312,8 +303,6 @@ def _find_compaction_split(
     center_starts: np.ndarray,
     centers_per_vertex: np.ndarray,
     center_offsets: np.ndarray,
-    *,
-    need_weights: bool,
 ) -> tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """Find where the remaining batch must split for the next DGM compaction.
 
@@ -325,31 +314,29 @@ def _find_compaction_split(
     whole tail per split.  ``wedges_per_vertex`` covers ``[start, stop)``
     and ``range_starts`` / ``range_lengths`` are the per-center gather
     ranges of the same span, handed back so the endpoint gather does not
-    recompute them; all three are ``None`` when nothing was computed (no
-    DGM and no work weights requested).
+    recompute them; all three are ``None`` when DGM sets no budget.
     """
-    if budget is None and not need_weights:
+    if budget is None:
         return n_batch, None, None, None
 
-    window = 128 if budget is not None else n_batch - start
+    window = 128
     while True:
         hi = min(start + window, n_batch)
         window_centers = centers[center_starts[start]: center_starts[hi]]
         range_starts = center_offsets[window_centers]
         range_lengths = center_offsets[window_centers + 1] - range_starts
         wedges_per_vertex = segment_sums(range_lengths, centers_per_vertex[start:hi])
-        if budget is not None:
-            cumulative = np.cumsum(wedges_per_vertex)
-            crossing = int(np.searchsorted(cumulative, budget, side="left"))
-            if crossing < hi - start:
-                stop = start + crossing + 1
-                n_sub_centers = int(center_starts[stop] - center_starts[start])
-                return (
-                    stop,
-                    wedges_per_vertex[: crossing + 1],
-                    range_starts[:n_sub_centers],
-                    range_lengths[:n_sub_centers],
-                )
+        cumulative = np.cumsum(wedges_per_vertex)
+        crossing = int(np.searchsorted(cumulative, budget, side="left"))
+        if crossing < hi - start:
+            stop = start + crossing + 1
+            n_sub_centers = int(center_starts[stop] - center_starts[start])
+            return (
+                stop,
+                wedges_per_vertex[: crossing + 1],
+                range_starts[:n_sub_centers],
+                range_lengths[:n_sub_centers],
+            )
         if hi == n_batch:
             return n_batch, wedges_per_vertex, range_starts, range_lengths
         window *= 4
@@ -369,12 +356,11 @@ def _stream_decrements(
     wedges_per_vertex: np.ndarray | None,
     range_starts: np.ndarray | None,
     range_lengths: np.ndarray | None,
-    context,
     workspace: WedgeWorkspace,
 ) -> tuple[int, int, list[np.ndarray]]:
     """Gather, count and apply one DGM sub-batch through the wedge pipeline.
 
-    Serial path: the sub-batch streams through
+    The sub-batch streams through
     :func:`~repro.kernels.wedges.iter_batch_wedge_chunks`; every chunk's
     decrements are applied to ``supports`` before the next chunk is
     gathered, so nothing wedge-scale outlives a chunk.  Because the chunks
@@ -383,73 +369,8 @@ def _stream_decrements(
     ``b``), supports and the ``support_updates`` replay are bit-identical
     to a monolithic application.
 
-    With a multi-threaded execution context the batch positions are split
-    into work-balanced slices instead; each slice gathers and counts into
-    private arrays (batch positions are disjoint across slices, so
-    per-pair counts are unaffected) and the pieces are concatenated for a
-    single global decrement application.
-
     Returns ``(wedges, support_updates, updated_vertex_pieces)``.
     """
-    if context is not None and context.n_threads > 1 and sub_batch.shape[0] > 1:
-        center_starts = np.concatenate(([0], np.cumsum(centers_per_vertex)))
-
-        def chunk_body(positions):
-            positions = np.asarray(positions, dtype=np.int64)
-            # Slices are contiguous position ranges (balanced_chunks /
-            # chunk_ranges both tile [0, n)); the streaming iteration below
-            # relies on it, so fail loudly if the scheduler ever changes.
-            lo_pos, hi_pos = int(positions[0]), int(positions[-1]) + 1
-            if hi_pos - lo_pos != positions.shape[0]:
-                raise ValueError("peel_batch_gather requires contiguous slices")
-            # A private arena per slice carrying the run's memory policy:
-            # the wedge budget caps each slice's gathers and its peak folds
-            # back into the run's accounting after the barrier.
-            local = WedgeWorkspace(
-                wedge_budget=workspace.wedge_budget,
-                narrow_ids=workspace.narrow_ids,
-            )
-            pieces: list[BatchDecrements] = []
-            slice_wedges = 0
-            for lo, hi, endpoints, chunk_lengths in iter_batch_wedge_chunks(
-                centers[center_starts[lo_pos]: center_starts[hi_pos]],
-                centers_per_vertex[lo_pos:hi_pos],
-                center_offsets,
-                center_neighbors,
-                workspace=local,
-            ):
-                slice_wedges += int(endpoints.shape[0])
-                pieces.append(count_pair_wedges(
-                    endpoints,
-                    np.arange(lo_pos + lo, lo_pos + hi, dtype=np.int64),
-                    chunk_lengths, sub_batch, alive,
-                    filter_alive=filter_alive, late_filter=late_filter,
-                    workspace=local,
-                ))
-            return pieces, slice_wedges, local.peak_scratch_bytes
-
-        # record=False: the enclosing peel iteration (cd_peel_iteration /
-        # parb_round) already accounts for this wedge work, and the recorded
-        # regions must not depend on the thread count.
-        results = context.map_chunks(
-            list(range(sub_batch.shape[0])),
-            chunk_body,
-            name="peel_batch_gather",
-            work_per_item=[float(w) for w in wedges_per_vertex],
-            record=False,
-        )
-        decrements = BatchDecrements.concatenate(
-            [piece for pieces, _, _ in results for piece in pieces]
-        )
-        wedges = sum(slice_wedges for _, slice_wedges, _ in results)
-        for _, _, local_peak in results:
-            if local_peak > workspace.peak_scratch_bytes:
-                workspace.peak_scratch_bytes = local_peak
-        updated, _, n_updates = apply_clamped_decrements(
-            supports, decrements, threshold, workspace=workspace
-        )
-        return wedges, n_updates, [updated] if updated.size else []
-
     wedges = 0
     total_updates = 0
     updated_pieces: list[np.ndarray] = []

@@ -15,6 +15,7 @@ from repro.butterfly.naive import (
     count_per_vertex_wedge_restricted,
     enumerate_butterflies,
 )
+from repro.core.receipt import receipt_decomposition
 from repro.datasets.generators import random_bipartite
 from repro.errors import ReproError
 from repro.graph.builders import complete_bipartite, empty_graph, from_edge_list, star
@@ -134,19 +135,36 @@ class TestParallelCounting:
             assert sequential.wedges_traversed == parallel.wedges_traversed
 
     def test_with_real_threads(self, blocks_graph):
-        context = ExecutionContext(4, use_real_threads=True)
-        with context:
-            parallel = count_per_vertex_parallel(blocks_graph, context)
         sequential = count_per_vertex_priority(blocks_graph)
-        assert np.array_equal(sequential.u_counts, parallel.u_counts)
-        assert np.array_equal(sequential.v_counts, parallel.v_counts)
+        for backend in ("serial", "process"):
+            with ExecutionContext(4, backend=backend) as context:
+                parallel = count_per_vertex_parallel(blocks_graph, context)
+            assert np.array_equal(sequential.u_counts, parallel.u_counts), backend
+            assert np.array_equal(sequential.v_counts, parallel.v_counts), backend
+            assert sequential.wedges_traversed == parallel.wedges_traversed, backend
 
     def test_records_parallel_regions(self, blocks_graph):
         context = ExecutionContext(2)
         count_per_vertex_parallel(blocks_graph, context)
-        names = [region.name for region in context.parallel_regions]
-        assert "pvBcnt[U]" in names
-        assert "pvBcnt[V]" in names
+        regions = {region.name: region for region in context.parallel_regions}
+        assert set(regions) == {"pvBcnt[U]", "pvBcnt[V]"}
+        for side in ("U", "V"):
+            degrees = blocks_graph.degrees(side)
+            region = regions[f"pvBcnt[{side}]"]
+            assert region.n_tasks == blocks_graph.side_size(side)
+            assert region.task_work == degrees.astype(float).tolist()
+            assert region.total_work == float(degrees.sum())
+
+        # A whole RECEIPT run records the same regions whatever the thread
+        # count: the thread count only reaches the cost model.
+        def accounting(n_threads):
+            result = receipt_decomposition(blocks_graph, "U", n_partitions=4,
+                                           n_threads=n_threads)
+            regions = [(region.name, region.n_tasks, region.total_work, region.task_work)
+                       for region in result.extra["parallel_regions"]]
+            return regions, result.counters.synchronization_rounds
+
+        assert accounting(1) == accounting(4)
 
 
 class TestDispatcher:

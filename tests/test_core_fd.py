@@ -36,9 +36,10 @@ class TestExactness:
 
     def test_matches_bup_with_real_threads(self, cd_and_reference):
         graph, cd, reference = cd_and_reference
-        with ExecutionContext(4, use_real_threads=True) as context:
-            fd = fine_grained_decomposition(graph, cd, context=context)
-        assert np.array_equal(fd.tip_numbers, reference.tip_numbers)
+        for backend in ("serial", "process"):
+            with ExecutionContext(4, backend=backend) as context:
+                fd = fine_grained_decomposition(graph, cd, context=context)
+            assert np.array_equal(fd.tip_numbers, reference.tip_numbers), backend
 
     def test_matches_bup_with_dgm_in_subsets(self, cd_and_reference):
         graph, cd, reference = cd_and_reference

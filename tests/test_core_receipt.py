@@ -55,10 +55,11 @@ class TestCorrectness:
 
     def test_real_threads(self, blocks_graph):
         reference = bup_decomposition(blocks_graph, "U").tip_numbers
-        result = receipt_decomposition(
-            blocks_graph, "U", n_partitions=4, n_threads=4, use_real_threads=True
-        )
-        assert np.array_equal(result.tip_numbers, reference)
+        for backend in ("serial", "process"):
+            result = receipt_decomposition(
+                blocks_graph, "U", n_partitions=4, n_threads=4, backend=backend
+            )
+            assert np.array_equal(result.tip_numbers, reference), backend
 
 
 class TestConfig:

@@ -1,6 +1,6 @@
 """Execution-engine tests: backend equivalence, descriptors, shared memory.
 
-The engine's contract is that ``serial`` / ``thread`` / ``process`` backends
+The engine's contract is that the ``serial`` and ``process`` backends
 produce bit-identical results — tip numbers and the paper's work counters
 (``wedges_traversed``, ``support_updates``) — because every backend runs the
 same task body on the same inputs.  The property-based suite checks that
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core.receipt import receipt_decomposition
 from repro.datasets.generators import random_bipartite
 from repro.engine import (
@@ -66,9 +67,9 @@ class TestBackendEquivalence:
     def test_all_backends_bit_identical(self, process_context, seed, n_edges):
         graph = random_bipartite(24, 18, n_edges, seed=seed)
         serial = _decompose(graph)
-        threaded = _decompose(graph, backend="thread", n_threads=2)
+        wide = _decompose(graph, n_threads=2)
         processed = _decompose(graph, context=process_context)
-        _assert_equivalent(serial, threaded)
+        _assert_equivalent(serial, wide)
         _assert_equivalent(serial, processed)
 
     def test_process_backend_on_fixture_graphs(self, blocks_graph, community_graph,
@@ -93,6 +94,17 @@ class TestBackendEquivalence:
             ExecutionContext(2, backend="gpu")
         with pytest.raises(ReproError):
             create_backend("gpu")
+
+    def test_thread_backend_rejected_everywhere(self, capsys):
+        with pytest.raises(ValueError, match="'serial', 'process'"):
+            ExecutionContext(2, backend="thread")
+        with pytest.raises(ValueError, match="'serial', 'process'"):
+            receipt_decomposition(random_bipartite(6, 5, 12, seed=1), "U",
+                                  backend="thread", n_threads=2)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["decompose", "--dataset", "it", "--backend", "thread"])
+        assert exit_info.value.code == 2
+        assert "'serial', 'process'" in capsys.readouterr().err
 
 
 class TestTaskDescriptors:
@@ -213,19 +225,6 @@ class TestCsrArraysSurface:
 
 
 class TestContextIntegration:
-    def test_run_tasks_accounts_work_per_task(self):
-        context = ExecutionContext()
-        context.run_tasks([lambda: 1, lambda: 2], name="weighted",
-                          work_per_task=[10.0, 30.0])
-        region = context.parallel_regions[-1]
-        assert region.total_work == 40.0
-        assert region.task_work == [10.0, 30.0]
-
-    def test_run_tasks_rejects_mismatched_work(self):
-        context = ExecutionContext()
-        with pytest.raises(ValueError):
-            context.run_tasks([lambda: 1, lambda: 2], work_per_task=[1.0])
-
     def test_run_fd_tasks_defaults_to_descriptor_work(self, blocks_graph):
         from repro.butterfly.counting import count_per_vertex_priority
         from repro.core.cd import coarse_grained_decomposition
@@ -242,16 +241,10 @@ class TestContextIntegration:
         with pytest.raises(ValueError):
             context.run_fd_tasks(job, tasks, work_per_task=[1.0])
 
-    def test_thread_backend_shares_context_executor(self):
-        with ExecutionContext(3, backend="thread") as context:
-            engine = context.engine
-            assert engine._executor is context._ensure_executor()
-            assert engine._owns_executor is False
-        # Exiting the context shuts the shared pool down exactly once.
-        assert context._executor is None
-
 
 def test_backend_names_stay_in_sync():
     from repro.parallel.threadpool import BACKEND_NAMES as CONTEXT_NAMES
 
-    assert tuple(CONTEXT_NAMES) == tuple(BACKEND_NAMES)
+    # One definition, shared by the context, the engine and the CLI.
+    assert CONTEXT_NAMES is BACKEND_NAMES
+    assert BACKEND_NAMES == ("serial", "process")

@@ -1,6 +1,4 @@
-"""Unit tests for the execution context (parallel-for and task queues)."""
-
-import threading
+"""Unit tests for the execution context (accounting and FD task queue)."""
 
 import pytest
 
@@ -13,77 +11,10 @@ class TestConstruction:
             ExecutionContext(0)
 
     def test_context_manager_shuts_down(self):
-        with ExecutionContext(2, use_real_threads=True) as context:
-            context.run_tasks([lambda: 1])
-        assert context._executor is None
-
-
-class TestMapChunks:
-    def test_results_cover_all_items(self):
-        context = ExecutionContext(3)
-        results = context.map_chunks(list(range(10)), lambda chunk: sum(chunk))
-        assert sum(results) == sum(range(10))
-
-    def test_empty_items(self):
-        context = ExecutionContext(2)
-        assert context.map_chunks([], lambda chunk: len(chunk)) == []
-        assert context.synchronization_rounds == 1  # the barrier is still recorded
-
-    def test_work_balanced_chunking(self):
-        context = ExecutionContext(2)
-        items = list(range(6))
-        work = [100, 1, 1, 1, 1, 100]
-        chunks_seen = context.map_chunks(items, lambda chunk: list(chunk), work_per_item=work)
-        flattened = sorted(item for chunk in chunks_seen for item in chunk)
-        assert flattened == items
-
-    def test_real_threads_produce_same_results(self):
-        serial = ExecutionContext(4, use_real_threads=False)
-        threaded = ExecutionContext(4, use_real_threads=True)
-        items = list(range(100))
-        body = lambda chunk: sum(x * x for x in chunk)  # noqa: E731
-        assert sum(serial.map_chunks(items, body)) == sum(threaded.map_chunks(items, body))
-        threaded.shutdown()
-
-    def test_records_region_metadata(self):
-        context = ExecutionContext(2)
-        context.map_chunks([1, 2, 3], lambda chunk: None, name="my_region",
-                           work_per_item=[5.0, 5.0, 5.0])
-        region = context.parallel_regions[-1]
-        assert region.name == "my_region"
-        assert region.n_tasks == 3
-        assert region.total_work == 15.0
-        assert region.task_work == [5.0, 5.0, 5.0]
-
-
-class TestRunTasks:
-    def test_serial_execution_order(self):
-        context = ExecutionContext(1)
-        log = []
-        tasks = [lambda i=i: log.append(i) for i in range(5)]
-        context.run_tasks(tasks)
-        assert log == [0, 1, 2, 3, 4]
-
-    def test_threaded_execution_completes_all(self):
-        context = ExecutionContext(4, use_real_threads=True)
-        lock = threading.Lock()
-        seen = set()
-
-        def make_task(i):
-            def task():
-                with lock:
-                    seen.add(i)
-                return i
-            return task
-
-        results = context.run_tasks([make_task(i) for i in range(20)])
-        context.shutdown()
-        assert sorted(results) == list(range(20))
-        assert seen == set(range(20))
-
-    def test_empty_task_list(self):
-        context = ExecutionContext(2)
-        assert context.run_tasks([]) == []
+        with ExecutionContext(2, backend="process") as context:
+            context.engine.warmup()
+            assert context._engine is not None
+        assert context._engine is None
 
 
 class TestAccounting:
@@ -95,7 +26,10 @@ class TestAccounting:
         assert [region.name for region in context.parallel_regions] == ["a", "b"]
 
     def test_each_parallel_for_counts_one_round(self):
+        # An FD task queue synchronises once at its final barrier, even
+        # when it is empty (the engine is never started then).
         context = ExecutionContext(2)
         for _ in range(5):
-            context.map_chunks([1, 2], lambda chunk: None)
+            assert context.run_fd_tasks(None, []) == []
         assert context.synchronization_rounds == 5
+        assert context._engine is None
