@@ -21,11 +21,12 @@ Three checks, all hard-failing:
    root span's wall-clock — the phase breakdown the paper's evaluation
    tables are built on cannot silently lose time.
 
-3. **/metrics coverage**: both transports are started on a freshly built
+3. **/metrics coverage**: the HTTP server is started on a freshly built
    artifact, driven with point/batch/top-k load, and scraped.  Every
-   metric family in ``DOCUMENTED_METRICS`` must be present in both
-   scrapes, every sample line must be well-formed exposition text, and
-   the request-latency histograms must actually be populated.
+   metric family in ``DOCUMENTED_METRICS`` must be present in the
+   scrape, every sample line must be well-formed exposition text, and
+   the request-latency and coalescer histograms must actually be
+   populated.
 
 4. **Sampling-profiler overhead <= 5%** on the batched CD kernel.  Same
    deterministic style as check 1: the per-sample cost (one
@@ -36,10 +37,11 @@ Three checks, all hard-failing:
    A/B CD wall-clock pair (profiler attached vs not) is reported for
    context but not gated.
 
-5. **Diagnostics byte-identity**: one shared ``TipService`` is mounted
-   behind BOTH transports; after priming ``/slo``, ``/debug/memory`` and
+5. **Diagnostics byte-identity**: one ``TipService`` is mounted behind
+   the HTTP server; after priming ``/slo``, ``/debug/memory`` and
    ``/debug/profile`` once, the cached variants (``?cached=1`` /
-   ``?last=1``) must answer byte-identical JSON through either front end.
+   ``?last=1``) must answer exactly the bytes of the offline
+   ``handle()`` rendering of the same service.
 
 Results land in ``BENCH_obs.json`` at the repository root; CI follows up
 with ``repro bench-history check`` so a slow drift in any headline metric
@@ -53,7 +55,6 @@ import json
 import re
 import sys
 import tempfile
-import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -66,7 +67,7 @@ from repro.obs.profile import DEFAULT_INTERVAL_SECONDS, SamplingProfiler
 from repro.obs.trace import NOOP_TRACER, Tracer, use_tracer
 from repro.service.aserver import start_server_thread
 from repro.service.build import build_index_artifact
-from repro.service.server import DOCUMENTED_METRICS, TipService, create_server
+from repro.service.server import DOCUMENTED_METRICS, TipService, to_jsonable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NOOP_OVERHEAD_CEILING_PCT = 3.0
@@ -225,7 +226,7 @@ def bench_trace_fidelity(scale: float, n_partitions: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 3. /metrics coverage on both transports under load
+# 3. /metrics coverage under load
 # ----------------------------------------------------------------------
 def _drive_and_scrape(base_url: str, n_requests: int) -> str:
     for vertex in range(n_requests):
@@ -273,18 +274,6 @@ def _check_scrape(transport: str, text: str, n_requests: int) -> dict:
 
 
 def bench_metrics_endpoints(artifact_dir: Path, n_requests: int) -> list:
-    rows = []
-    server = create_server([artifact_dir], port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        host, port = server.server_address[0], server.server_address[1]
-        text = _drive_and_scrape(f"http://{host}:{port}", n_requests)
-        rows.append(_check_scrape("thread", text, n_requests))
-    finally:
-        server.shutdown()
-        server.server_close()
-
     handle = start_server_thread([artifact_dir])
     try:
         text = _drive_and_scrape(handle.base_url, n_requests)
@@ -298,14 +287,13 @@ def bench_metrics_endpoints(artifact_dir: Path, n_requests: int) -> list:
                 f"async: coalescer histogram saw {coalesced} requests, "
                 f"expected >= {n_requests}")
         row["coalesced_requests"] = coalesced
-        rows.append(row)
     finally:
         handle.stop()
-    return rows
+    return [row]
 
 
 # ----------------------------------------------------------------------
-# 5. Diagnostics byte-identity across transports
+# 5. Diagnostics byte-identity: served == offline
 # ----------------------------------------------------------------------
 def _get_bytes(url: str) -> bytes:
     with urllib.request.urlopen(url, timeout=10) as response:
@@ -313,37 +301,32 @@ def _get_bytes(url: str) -> bytes:
 
 
 def bench_diagnostics_parity(artifact_dir: Path) -> dict:
-    """One shared TipService behind both transports: cached diagnostics
-    (``/slo?cached=1``, ``/debug/memory?cached=1``, ``/debug/profile?last=1``)
-    must answer byte-identical JSON through either front end."""
+    """Cached diagnostics (``/slo?cached=1``, ``/debug/memory?cached=1``,
+    ``/debug/profile?last=1``) served over HTTP must equal the offline
+    ``handle()`` rendering of the same TipService byte for byte."""
     service = TipService([artifact_dir])
-    server = create_server([artifact_dir], port=0, service=service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    handle = start_server_thread([artifact_dir], service=service)
+    handle = start_server_thread(service=service)
     try:
-        host, port = server.server_address[0], server.server_address[1]
-        threaded = f"http://{host}:{port}"
-        # Prime each diagnostic once; the stored payloads then serve both
-        # transports.
-        _get_bytes(f"{threaded}/slo")
-        _get_bytes(f"{threaded}/debug/memory")
-        _get_bytes(f"{threaded}/debug/profile?seconds=0.2&interval_ms=2")
+        base = handle.base_url
+        # Prime each diagnostic once; the stored payloads then answer both
+        # the HTTP request and the offline call.
+        _get_bytes(f"{base}/slo")
+        _get_bytes(f"{base}/debug/memory")
+        _get_bytes(f"{base}/debug/profile?seconds=0.2&interval_ms=2")
         rows = {}
-        for route in ("/slo?cached=1", "/debug/memory?cached=1",
-                      "/debug/profile?last=1"):
-            body_thread = _get_bytes(threaded + route)
-            body_async = _get_bytes(handle.base_url + route)
-            if body_thread != body_async:
+        for route, flag in (("/slo", "cached"), ("/debug/memory", "cached"),
+                            ("/debug/profile", "last")):
+            served = _get_bytes(f"{base}{route}?{flag}=1")
+            offline = json.dumps(to_jsonable(
+                service.handle(route, {flag: "1"}))).encode("utf-8")
+            if served != offline:
                 raise AssertionError(
-                    f"diagnostic {route} differs across transports "
-                    f"({len(body_thread)} vs {len(body_async)} bytes)")
-            rows[route] = {"bytes": len(body_thread), "identical": True}
+                    f"diagnostic {route}?{flag}=1 differs from the offline "
+                    f"rendering ({len(served)} vs {len(offline)} bytes)")
+            rows[f"{route}?{flag}=1"] = {"bytes": len(served), "identical": True}
         return rows
     finally:
         handle.stop()
-        server.shutdown()
-        server.server_close()
 
 
 def main(argv=None) -> int:
@@ -397,7 +380,7 @@ def main(argv=None) -> int:
             f"{row['theta_latency_observations']} /theta latencies observed"
         )
     for route, row in diagnostics.items():
-        print(f"diagnostics parity: {route} identical across transports "
+        print(f"diagnostics parity: {route} identical served and offline "
               f"({row['bytes']} bytes)")
 
     report = {
@@ -444,9 +427,9 @@ def main(argv=None) -> int:
         f"OK: disabled tracer costs {overhead['noop_overhead_pct']}% of CD, "
         f"the sampling profiler's duty cycle is "
         f"{profiler['profiler_overhead_pct']}%, phase spans cover "
-        f"{round(100 - fidelity['phase_gap_pct'], 2)}% of the traced run, both "
-        f"transports expose all {len(DOCUMENTED_METRICS)} documented metrics, "
-        f"and cached diagnostics are byte-identical across transports"
+        f"{round(100 - fidelity['phase_gap_pct'], 2)}% of the traced run, the "
+        f"server exposes all {len(DOCUMENTED_METRICS)} documented metrics, "
+        f"and cached diagnostics are byte-identical served and offline"
     )
     return 0
 

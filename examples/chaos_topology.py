@@ -13,10 +13,10 @@ HTTP, deterministically — the same seed always injects the same faults:
    corrupts replication pushes (every rule count-capped, so the schedule
    provably clears),
 3. apply live edge updates at the leader while the faults fire — pushes
-   fail or deliver tampered records, marking a follower *diverged*,
-4. wait for automatic recovery: the poll path detects the divergence,
-   fetches ``/replication/snapshot``, re-bootstraps, and converges to
-   lag 0,
+   fail or deliver tampered records, marking the followers *diverged*,
+4. start the followers' poll threads and wait for automatic recovery: the
+   poll path detects the divergence, fetches ``/replication/snapshot``,
+   re-bootstraps, and converges to lag 0,
 5. prove the reads: ``/theta/batch`` byte-identical on all three
    servers, and print the recovery evidence (resync count, breaker and
    fault-injection metrics).
@@ -83,14 +83,16 @@ def main() -> None:
         print(f"\nleader   {leader_url}  (2 shards, replication log, "
               "push fan-out)")
 
+        # The poll threads stay stopped through the update phase: a poll
+        # could apply a record from the leader's write-ahead log before its
+        # tampered push arrives, and the push would then be a harmless
+        # duplicate instead of forcing a divergence.
         fcoords = []
         for service, url in ((f1, f1_url), (f2, f2_url)):
-            fcoord = ReplicationCoordinator(
+            fcoords.append(ReplicationCoordinator(
                 service, role="follower", leader_url=leader_url,
-                poll_interval=0.2)
-            fcoord.start()
-            fcoords.append(fcoord)
-            print(f"follower {url}  (poll every 0.2s)")
+                poll_interval=0.2))
+            print(f"follower {url}  (polls every 0.2s after the updates)")
 
         plan = FaultPlan.parse(FAULT_PLAN, seed=FAULT_SEED)
         print(f"\nfault plan ARMED (seed {FAULT_SEED}): "
@@ -104,13 +106,18 @@ def main() -> None:
                     print(f"update {i}: offset "
                           f"{answer['replication']['offset']} "
                           "(pushes may be dropped or corrupted)")
-                    # Let the followers catch up between updates so the
-                    # corrupt pushes hit replicas that are current — a
-                    # tampered record then *must* mark divergence.
-                    time.sleep(0.5)
+                    if i == 1:
+                        # Update 1's pushes were dropped: catch both
+                        # followers up from the log, so update 2's
+                        # corrupt pushes hit replicas that are current —
+                        # a tampered record then *must* mark divergence.
+                        for fcoord in fcoords:
+                            fcoord.sync_once()
 
                 # Recovery must happen *while* the plan is still armed —
                 # the count-capped rules simply run out of budget.
+                for fcoord in fcoords:
+                    fcoord.start()
                 deadline = time.time() + 60
                 statuses = []
                 while time.time() < deadline:
@@ -152,8 +159,7 @@ def main() -> None:
             for fcoord in fcoords:
                 fcoord.stop()
             for srv in (leader_srv, f1_srv, f2_srv):
-                srv.shutdown()
-                srv.server_close()
+                srv.stop()
     print("\ndone: arm the same schedule from the shell with "
           "`repro serve --fault-plan '" + FAULT_PLAN + "' "
           f"--fault-seed {FAULT_SEED}` (see docs/RESILIENCE.md).")

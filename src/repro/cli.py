@@ -15,16 +15,16 @@ Sub-commands:
 * ``update`` — apply an insert/delete edge batch to an artifact through
   the streaming engine (incremental support maintenance + bounded
   tip-number repair) instead of rebuilding it.
-* ``serve`` — expose one or more artifacts over the JSON HTTP API;
-  ``--transport {thread,async}`` picks between the threaded server and
-  the asyncio batch-coalescing front end (identical answers, the async
-  one batches concurrent point-θ requests into one vectorized lookup
-  per event-loop tick and admission-controls updates).  Both transports
-  expose Prometheus metrics on ``GET /metrics``.  ``--shards N`` serves
-  through the scatter/gather :class:`ShardRouter` (bit-identical
-  answers); ``--role leader --follower URL`` / ``--role follower
-  --leader URL`` run the replicated topology where the leader fans
-  validated update batches out to read-only followers.
+* ``serve`` — expose one or more artifacts over the JSON HTTP API on the
+  asyncio batch-coalescing server, which batches concurrent point-θ
+  requests into one vectorized lookup per event-loop tick,
+  admission-controls updates and exposes Prometheus metrics on ``GET
+  /metrics`` (``--transport async`` is accepted and is the only
+  transport).  ``--shards N`` serves through the scatter/gather
+  :class:`ShardRouter` (bit-identical answers); ``--role leader
+  --follower URL`` / ``--role follower --leader URL`` run the replicated
+  topology where the leader fans validated update batches out to
+  read-only followers.
 * ``shard-plan`` — split a ``*.tipidx`` artifact into per-shard
   artifacts keyed on disjoint θ ranges (the paper's CD subsets) and
   write a loadable ``tip-shard-plan`` directory.
@@ -316,25 +316,22 @@ def build_parser() -> argparse.ArgumentParser:
                               help="maximum number of indexes kept in memory")
     serve_parser.add_argument("--no-mmap", action="store_true",
                               help="load artifact arrays eagerly instead of mmap")
-    serve_parser.add_argument("--transport", default="thread",
-                              choices=["thread", "async"],
-                              help="HTTP front end: one thread per connection "
-                                   "(default) or the asyncio event loop that "
-                                   "coalesces concurrent point-θ requests into "
-                                   "one vectorized lookup per tick and "
+    serve_parser.add_argument("--transport", default="async", choices=["async"],
+                              help="HTTP front end: the asyncio event loop "
+                                   "that coalesces concurrent point-θ requests "
+                                   "into one vectorized lookup per tick and "
                                    "admission-controls updates behind the "
-                                   "readers")
+                                   "readers (the only transport)")
     serve_parser.add_argument("--coalesce-max-batch", type=int, default=1024,
-                              help="async transport: cap on one coalesced "
-                                   "point-θ batch (default 1024)")
+                              help="cap on one coalesced point-θ batch "
+                                   "(default 1024)")
     serve_parser.add_argument("--coalesce-max-delay-ms", type=float, default=0.0,
-                              help="async transport: wait up to this long to "
-                                   "grow a batch (default 0: flush every "
-                                   "event-loop tick, zero added latency)")
+                              help="wait up to this long to grow a point-θ "
+                                   "batch (default 0: flush every event-loop "
+                                   "tick, zero added latency)")
     serve_parser.add_argument("--max-pending-updates", type=int, default=4,
-                              help="async transport: bounded /update admission "
-                                   "queue; overflow answers 503 + Retry-After "
-                                   "(default 4)")
+                              help="bounded /update admission queue; overflow "
+                                   "answers 503 + Retry-After (default 4)")
     serve_parser.add_argument("--shards", type=int, default=None,
                               help="answer queries through an in-memory θ-range "
                                    "ShardRouter with this many shards "
@@ -616,10 +613,10 @@ def _command_shard_plan(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    # The TipService is built here (rather than inside serve/serve_async)
-    # so a replication coordinator can attach to it before the transport
-    # starts accepting requests; --trace-out wraps the whole serving
-    # session and the trace is written at shutdown (Ctrl-C).
+    # The TipService is built here (rather than inside serve_async) so a
+    # replication coordinator can attach to it before the server starts
+    # accepting requests; --trace-out wraps the whole serving session and
+    # the trace is written at shutdown (Ctrl-C).
     from .service.server import TipService
 
     if args.role == "follower" and not args.leader:
@@ -674,27 +671,16 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     try:
         with _maybe_trace(args.trace_out):
-            if args.transport == "async":
-                from .service.aserver import serve_async
+            from .service.aserver import serve_async
 
-                serve_async(
-                    args.artifacts,
-                    host=args.host,
-                    port=args.port,
-                    quiet=False,
-                    max_batch=args.coalesce_max_batch,
-                    max_delay=args.coalesce_max_delay_ms / 1000.0,
-                    max_pending_updates=args.max_pending_updates,
-                    service=service,
-                )
-                return 0
-            from .service.server import serve
-
-            serve(
+            serve_async(
                 args.artifacts,
                 host=args.host,
                 port=args.port,
                 quiet=False,
+                max_batch=args.coalesce_max_batch,
+                max_delay=args.coalesce_max_delay_ms / 1000.0,
+                max_pending_updates=args.max_pending_updates,
                 service=service,
             )
         return 0

@@ -2,7 +2,7 @@
 
 The package is intentionally dependency-free (stdlib only) so that every
 layer of the repro -- kernels, core phases, the execution engine, the
-streaming updater and both serving transports -- can be instrumented
+streaming updater and the HTTP server -- can be instrumented
 without adding imports the container does not carry.
 
 Modules

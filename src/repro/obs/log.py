@@ -6,7 +6,7 @@ line (``ts``, ``level``, ``logger``, ``message`` plus any ``extra``
 fields passed at the call site).  Text mode keeps a conventional
 human-readable line but still appends the structured fields.
 
-Request logging is shared by both serving transports: every request is
+Request logging covers every request the HTTP server answers: each is
 logged at DEBUG, requests slower than the slow-query threshold
 (``REPRO_SLOW_QUERY_MS``, default 250 ms) are logged at WARNING, and
 non-quiet servers log at INFO.
@@ -130,7 +130,7 @@ def log_request(
     quiet: bool = True,
     **fields: Any,
 ) -> None:
-    """Log one served request with latency + status on both transports."""
+    """Log one served request with latency + status."""
     logger = get_logger("service")
     slow = seconds > slow_query_threshold_seconds()
     if slow:

@@ -14,15 +14,15 @@ milliseconds, without ever re-peeling:
   engine (θ-sorted permutation + level CSR) behind every endpoint.
 * :mod:`repro.service.cache` — LRU cache of loaded indexes keyed by
   manifest fingerprint, with hit/miss/eviction metrics.
-* :mod:`repro.service.server` — stdlib ``ThreadingHTTPServer`` JSON API
-  plus :class:`TipService`, the transport-free request handler shared by
-  the HTTP server and the offline ``repro query`` command.
+* :mod:`repro.service.server` — :class:`TipService`, the transport-free
+  request handler shared by the HTTP server and the offline ``repro
+  query`` command.
 * :mod:`repro.service.coalesce` — event-loop micro-batching: the
   θ-request coalescer and the bounded write-admission controller.
-* :mod:`repro.service.aserver` — the asyncio front end: persistent
-  HTTP/1.1 connections with pipelining, one vectorized batch lookup per
-  event-loop tick, precomputed hot JSON, an NDJSON bulk protocol, and
-  admission-controlled updates (``repro serve --transport async``).
+* :mod:`repro.service.aserver` — the HTTP server (``repro serve``), an
+  asyncio front end: persistent HTTP/1.1 connections with pipelining, one
+  vectorized batch lookup per event-loop tick, precomputed hot JSON, an
+  NDJSON bulk protocol, and admission-controlled updates.
 * :mod:`repro.service.build` — ``build_index_artifact``: decompose (via
   the configured execution backend) and persist in one step.
 * :mod:`repro.service.sharding` — θ-range shard planner (``repro
@@ -50,7 +50,7 @@ from .cache import IndexCache
 from .coalesce import ThetaCoalescer, UpdateAdmissionController
 from .index import TipIndex
 from .replication import ReplicationCoordinator, ReplicationLog, state_fingerprint
-from .server import TipService, create_server, serve
+from .server import TipService
 from .sharding import ShardRouter, plan_shards, read_shard_plan, write_shard_plan
 
 __all__ = [
@@ -65,8 +65,6 @@ __all__ = [
     "load_artifact",
     "read_manifest",
     "build_index_artifact",
-    "create_server",
-    "serve",
     "AsyncTipServer",
     "ThetaCoalescer",
     "UpdateAdmissionController",

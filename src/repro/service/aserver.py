@@ -1,10 +1,10 @@
 """Asyncio batch-coalescing HTTP front end for the tip service.
 
-The threaded transport (:mod:`repro.service.server`) pays the full
-parse → route → manifest read → gather → serialize round trip *per
-request*; against an index that answers batched θ-lookups at tens of
-millions per second, transport overhead is the whole cost.  This front
-end closes the gap like an inference-serving batcher:
+This is the HTTP server behind ``repro serve``.  Against an index that
+answers batched θ-lookups at tens of millions per second, a server that
+pays the full parse → route → manifest read → gather → serialize round
+trip *per request* spends nearly all its time in the transport.  This
+front end closes the gap like an inference-serving batcher:
 
 * **persistent connections** — a hand-rolled HTTP/1.1 protocol layer over
   ``asyncio.start_server``: keep-alive by default, pipelining supported
@@ -30,9 +30,9 @@ end closes the gap like an inference-serving batcher:
 
 Routing stays :meth:`~repro.service.server.TipService.handle` (the θ fast
 path goes through its vectorized twin
-:meth:`~repro.service.server.TipService.theta_payloads`), so offline,
-threaded, and async answers are byte-for-byte identical — the serving
-benchmark asserts exactly that.  That fall-through also covers the
+:meth:`~repro.service.server.TipService.theta_payloads`), so offline and
+served answers are byte-for-byte identical — the serving benchmark
+asserts exactly that.  That fall-through also covers the
 sharded query surface and the replication plane for free; the one
 blocking replication route (``POST /replication/apply`` replays a
 streaming repair) hops to the default executor so the event loop keeps
@@ -111,13 +111,11 @@ class AsyncTipServer:
         max_pending_updates: int = 4,
         retry_after_seconds: float = 1.0,
         stats_cache_seconds: float = 0.05,
-        shards: int | None = None,
         quiet: bool = True,
     ):
         if service is None:
             service = TipService(
-                artifact_paths or [], cache_capacity=cache_capacity, mmap=mmap,
-                shards=shards)
+                artifact_paths or [], cache_capacity=cache_capacity, mmap=mmap)
         self.service = service
         self.host = host
         self.port = int(port)
@@ -564,16 +562,13 @@ class AsyncTipServer:
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-async def _serve_until_stopped(server: AsyncTipServer, *,
-                               ready_event: threading.Event | None) -> None:
+async def _serve_until_stopped(server: AsyncTipServer) -> None:
     await server.start()
     host, port = server.address
     if not server.quiet:
         names = server.service.artifact_names
         print(f"serving {len(names)} artifact(s) ({', '.join(names)}) "
               f"on http://{host}:{port} [transport=async]")
-    if ready_event is not None:
-        ready_event.set()
     try:
         await server.serve_forever()
     finally:
@@ -591,14 +586,9 @@ def serve_async(
     max_batch: int = DEFAULT_MAX_BATCH,
     max_delay: float = 0.0,
     max_pending_updates: int = 4,
-    shards: int | None = None,
     service: TipService | None = None,
-    ready_event: threading.Event | None = None,
 ) -> None:
-    """Serve artifacts on the async transport until interrupted.
-
-    The body of ``repro serve --transport async``.
-    """
+    """Serve artifacts until interrupted (the ``repro serve`` command body)."""
     server = AsyncTipServer(
         artifact_paths,
         service=service,
@@ -609,17 +599,16 @@ def serve_async(
         max_batch=max_batch,
         max_delay=max_delay,
         max_pending_updates=max_pending_updates,
-        shards=shards,
         quiet=quiet,
     )
     try:
-        asyncio.run(_serve_until_stopped(server, ready_event=ready_event))
+        asyncio.run(_serve_until_stopped(server))
     except KeyboardInterrupt:
         pass
 
 
 class AsyncServerHandle:
-    """A running async server on a background thread (tests/benchmarks)."""
+    """A running async server on a background thread (tests, examples, benchmarks)."""
 
     def __init__(self, server: AsyncTipServer, loop: asyncio.AbstractEventLoop,
                  thread: threading.Thread):

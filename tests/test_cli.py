@@ -2,8 +2,11 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -189,3 +192,38 @@ class TestEntryPoints:
         )
         assert completed.returncode == 2
         assert "error" in completed.stderr
+
+    def test_serve_defaults_to_async_transport(self, graph_file, tmp_path, capsys):
+        artifact = tmp_path / "graph.tipidx"
+        assert main(["build-index", "--path", str(graph_file), "--partitions", "2",
+                     "--output", str(artifact)]) == 0
+        capsys.readouterr()
+        env = self._module_env()
+        env["PYTHONUNBUFFERED"] = "1"  # the port announcement is a print()
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(artifact), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
+        # A server that never announces is killed, which ends readline().
+        watchdog = threading.Timer(60, server.kill)
+        watchdog.start()
+        try:
+            announcement = server.stdout.readline().rstrip("\n")
+            assert announcement.startswith("serving 1 artifact(s) (graph.U) on http://")
+            assert announcement.endswith(" [transport=async]")
+            # Parsed the way the end-to-end benchmark finds the port.
+            address = announcement.split(" on http://", 1)[1].split()[0]
+            host, port = address.rsplit(":", 1)
+            with urllib.request.urlopen(
+                    f"http://{host}:{int(port)}/healthz", timeout=10) as response:
+                assert response.status == 200
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=30) == 0
+        finally:
+            watchdog.cancel()
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=30)
+            server.stdout.close()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", str(artifact), "--transport", "thread"])
+        assert excinfo.value.code == 2

@@ -1,9 +1,9 @@
 """Async front-end tests: byte parity, keep-alive, pipelining, admission.
 
-The async transport must be indistinguishable from the threaded one at
-the byte level (same JSON, same status codes, same error text) while
-adding the things the threaded transport can't do: persistent pipelined
-connections, NDJSON bulk lookups, and admission-controlled updates.
+Served answers must equal the offline ``TipService.handle`` rendering at
+the byte level (same JSON, same status codes, same error text) while the
+server adds persistent pipelined connections, NDJSON bulk lookups, and
+admission-controlled updates.
 """
 
 from __future__ import annotations
@@ -14,14 +14,21 @@ import shutil
 import socket
 import threading
 import time
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
 from repro.core.receipt import tip_decomposition
 from repro.datasets.generators import planted_blocks
+from repro.errors import ServiceError
 from repro.service.artifacts import save_artifact
 from repro.service.aserver import start_server_thread
-from repro.service.server import TipService, create_server, to_jsonable
+from repro.service.server import (
+    TipService,
+    error_payload,
+    parse_post_body,
+    to_jsonable,
+)
 
 N_U = 40
 
@@ -43,16 +50,16 @@ def async_server(artifact):
     handle.stop()
 
 
-@pytest.fixture(scope="module")
-def threaded_server(artifact):
-    path, _, _ = artifact
-    httpd = create_server([path], port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    host, port = httpd.server_address[0], httpd.server_address[1]
-    yield host, port
-    httpd.shutdown()
-    httpd.server_close()
+def _offline_response(service, method, target, body=None):
+    """(status, body bytes) of one request rendered without any transport."""
+    parsed = urlsplit(target)
+    params = {key: values[-1] for key, values in parse_qs(parsed.query).items()}
+    try:
+        parsed_body = parse_post_body(body or b"") if method == "POST" else None
+        payload, status = service.handle(parsed.path, params, parsed_body), 200
+    except ServiceError as error:
+        payload, status = error_payload(error), error.status
+    return status, json.dumps(to_jsonable(payload)).encode("utf-8")
 
 
 def _raw_request(host, port, method, target, body=None, content_type=None):
@@ -89,16 +96,15 @@ class TestTransportParity:
     ]
 
     def test_every_route_is_byte_identical_across_transports(
-            self, async_server, threaded_server):
-        ahost, aport = async_server.address
-        thost, tport = threaded_server
+            self, async_server, artifact):
+        path, _, _ = artifact
+        offline = TipService([path])
+        host, port = async_server.address
         for method, target, body, content_type in self.ROUTES:
-            t_status, _, t_body = _raw_request(
-                thost, tport, method, target, body, content_type)
-            a_status, _, a_body = _raw_request(
-                ahost, aport, method, target, body, content_type)
-            assert a_status == t_status, (method, target)
-            assert a_body == t_body, (method, target)
+            status, _, raw = _raw_request(
+                host, port, method, target, body, content_type)
+            assert (status, raw) == _offline_response(
+                offline, method, target, body), (method, target)
 
     def test_point_theta_matches_ground_truth(self, async_server, artifact):
         _, _, result = artifact

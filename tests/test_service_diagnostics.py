@@ -1,4 +1,4 @@
-"""Deep diagnostics over both transports: /slo, /debug/memory, /debug/profile."""
+"""Deep diagnostics offline and over HTTP: /slo, /debug/memory, /debug/profile."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from repro.service.server import (
     DOCUMENTED_METRICS,
     ENDPOINTS,
     TipService,
-    create_server,
+    to_jsonable,
 )
 
 
@@ -109,8 +109,8 @@ class TestSloScope:
     def test_slow_profile_request_does_not_burn_the_latency_slo(self, service):
         # /debug/profile?seconds=N blocks for N seconds by design;
         # profiling a healthy instance must not degrade it.
-        service.observe_request("thread", "/theta", 200, 0.01)
-        service.observe_request("thread", "/debug/profile", 200, 5.0)
+        service.observe_request("async", "/theta", 200, 0.01)
+        service.observe_request("async", "/debug/profile", 200, 5.0)
         payload = service.handle("/slo")
         latency = next(entry for entry in payload["objectives"]
                        if entry["kind"] == "latency")
@@ -119,8 +119,8 @@ class TestSloScope:
         assert service.handle("/healthz")["status"] == "ok"
 
     def test_diagnostic_5xx_does_not_burn_availability(self, service):
-        service.observe_request("thread", "/theta", 200, 0.01)
-        service.observe_request("thread", "/debug/memory", 500, 0.01)
+        service.observe_request("async", "/theta", 200, 0.01)
+        service.observe_request("async", "/debug/memory", 500, 0.01)
         payload = service.handle("/slo")
         availability = next(entry for entry in payload["objectives"]
                             if entry["kind"] == "availability")
@@ -219,43 +219,40 @@ class TestRouting:
 
 
 class TestTransportParity:
-    """One shared TipService behind both transports answers byte-identically."""
+    """Served diagnostics equal the offline rendering of the same TipService."""
 
     @pytest.fixture()
-    def both(self, artifact):
+    def served(self, artifact):
         service = TipService([artifact])
-        server = create_server([artifact], port=0, service=service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[0], server.server_address[1]
-        handle = start_server_thread([artifact], service=service)
-        yield service, f"http://{host}:{port}", handle.base_url
+        handle = start_server_thread(service=service)
+        yield service, handle.base_url
         handle.stop()
-        server.shutdown()
-        server.server_close()
 
-    def test_diagnostics_byte_identical_across_transports(self, both):
-        service, threaded, asynchronous = both
-        # Prime each diagnostic once; the cached/last variants then serve
-        # the same stored object through both transports.
-        _get(f"{threaded}/slo")
-        _get(f"{threaded}/debug/memory")
-        _get(f"{threaded}/debug/profile?seconds=0.05&interval_ms=1")
-        for route in ("/slo?cached=1", "/debug/memory?cached=1",
-                      "/debug/profile?last=1"):
-            status_t, body_t = _get(threaded + route)
-            status_a, body_a = _get(asynchronous + route)
-            assert status_t == status_a == 200
-            assert body_t == body_a, route
+    @staticmethod
+    def _offline_bytes(service, route, params=None):
+        return json.dumps(to_jsonable(service.handle(route, params))).encode("utf-8")
 
-    def test_healthz_bodies_match(self, both):
-        _, threaded, asynchronous = both
-        assert _get(f"{threaded}/healthz")[1] == _get(f"{asynchronous}/healthz")[1]
+    def test_diagnostics_byte_identical_across_transports(self, served):
+        service, base = served
+        # Prime each diagnostic once; the cached/last variants then return
+        # the same stored object over HTTP and offline.
+        _get(f"{base}/slo")
+        _get(f"{base}/debug/memory")
+        _get(f"{base}/debug/profile?seconds=0.05&interval_ms=1")
+        for route, flag in (("/slo", "cached"), ("/debug/memory", "cached"),
+                            ("/debug/profile", "last")):
+            status, body = _get(f"{base}{route}?{flag}=1")
+            assert status == 200
+            assert body == self._offline_bytes(service, route, {flag: "1"}), route
 
-    def test_profile_runs_off_the_event_loop(self, both):
-        # A profile request must not freeze the async transport: point
+    def test_healthz_bodies_match(self, served):
+        service, base = served
+        assert _get(f"{base}/healthz")[1] == self._offline_bytes(service, "/healthz")
+
+    def test_profile_runs_off_the_event_loop(self, served):
+        # A profile request must not freeze the event loop: point
         # queries issued while it samples still answer promptly.
-        _, _, asynchronous = both
+        _, asynchronous = served
         result = {}
 
         def profile():
@@ -271,12 +268,11 @@ class TestTransportParity:
         payload = json.loads(result["profile"][1])
         assert payload["duration_seconds"] >= 0.5
 
-    def test_unknown_route_names_the_diagnostics(self, both):
-        _, threaded, asynchronous = both
-        for base in (threaded, asynchronous):
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(f"{base}/debug/nope", timeout=10)
-            assert excinfo.value.code == 404
-            message = json.loads(excinfo.value.read())["error"]
-            for route in DIAGNOSTIC_ENDPOINTS:
-                assert route in message
+    def test_unknown_route_names_the_diagnostics(self, served):
+        _, base = served
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(f"{base}/debug/nope", timeout=10)
+        assert excinfo.value.code == 404
+        message = json.loads(excinfo.value.read())["error"]
+        for route in DIAGNOSTIC_ENDPOINTS:
+            assert route in message

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import shutil
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -17,13 +16,14 @@ from repro.datasets.generators import planted_blocks
 from repro.errors import ReplicationError, ServiceError
 from repro.service import faults
 from repro.service.artifacts import save_artifact
+from repro.service.aserver import start_server_thread
 from repro.service.faults import FaultPlan, FaultRule
 from repro.service.replication import (
     ReplicationCoordinator,
     ReplicationLog,
     state_fingerprint,
 )
-from repro.service.server import TipService, create_server
+from repro.service.server import TipService
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +55,8 @@ def _post(url, payload):
 
 
 def _serve(service):
-    server = create_server([], service=service, port=0)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server, f"http://127.0.0.1:{server.server_address[1]}"
+    server = start_server_thread(service=service)
+    return server, server.base_url
 
 
 BATCHES = (
@@ -173,8 +172,7 @@ class TestPrefixConsistency:
             result = fcoord.handle_push(records[0])
             assert not result["applied"] and result["offset"] == len(records)
         finally:
-            leader_srv.shutdown()
-            leader_srv.server_close()
+            leader_srv.stop()
 
     def test_tampered_record_marks_divergence(self, source, tmp_path):
         leader_art = _copy(source, tmp_path, "leader")
@@ -208,8 +206,7 @@ class TestPrefixConsistency:
             assert (follower.index_for(name).theta_batch(probe).tolist()
                     == leader.index_for(name).theta_batch(probe).tolist())
         finally:
-            leader_srv.shutdown()
-            leader_srv.server_close()
+            leader_srv.stop()
 
 
 class TestCrashRecovery:
@@ -390,8 +387,7 @@ class TestCompaction:
             assert (follower.index_for(name).theta_batch(probe).tolist()
                     == leader.index_for(name).theta_batch(probe).tolist())
         finally:
-            leader_srv.shutdown()
-            leader_srv.server_close()
+            leader_srv.stop()
 
 
 class TestTopology:
@@ -475,5 +471,4 @@ class TestTopology:
             for fcoord in coords:
                 fcoord.stop()
             for srv in (leader_srv, f1_srv, f2_srv):
-                srv.shutdown()
-                srv.server_close()
+                srv.stop()

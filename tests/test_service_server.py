@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -16,7 +15,8 @@ from repro.datasets.generators import planted_blocks
 from repro.errors import ServiceError
 from repro.service.artifacts import load_artifact, save_artifact
 from repro.service.index import TipIndex
-from repro.service.server import ENDPOINTS, TipService, create_server
+from repro.service.aserver import start_server_thread
+from repro.service.server import ENDPOINTS, TipService
 
 
 @pytest.fixture(scope="module")
@@ -31,18 +31,14 @@ def artifact(tmp_path_factory):
 @pytest.fixture(scope="module")
 def server(artifact):
     path, _ = artifact
-    httpd = create_server([path], port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    yield httpd
-    httpd.shutdown()
-    httpd.server_close()
+    handle = start_server_thread([path])
+    yield handle
+    handle.stop()
 
 
 @pytest.fixture(scope="module")
 def base_url(server):
-    host, port = server.server_address[0], server.server_address[1]
-    return f"http://{host}:{port}"
+    return server.base_url
 
 
 def _get(base_url, path):
@@ -242,10 +238,10 @@ def _jsonable_default(value):
 
 
 class TestThreadedKeepAlive:
-    """The threaded transport speaks real HTTP/1.1 with persistent conns."""
+    """The server speaks real HTTP/1.1 with persistent connections."""
 
     def test_http_11_connection_is_reused(self, server):
-        host, port = server.server_address[0], server.server_address[1]
+        host, port = server.address
         connection = http.client.HTTPConnection(host, port, timeout=10)
         try:
             for vertex in (1, 2, 3):
@@ -257,10 +253,6 @@ class TestThreadedKeepAlive:
         finally:
             connection.close()
 
-    def test_server_socket_options(self, server):
-        assert server.allow_reuse_address
-        assert server.daemon_threads
-
     def test_error_bodies_carry_machine_readable_status(self, base_url):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(base_url, "/theta?vertex=100000")
@@ -271,7 +263,7 @@ class TestThreadedKeepAlive:
     def test_oversized_body_closes_keep_alive_connection(self, server):
         # An unread oversized body would desync the next pipelined request;
         # the server must answer 413 and then close.
-        host, port = server.server_address[0], server.server_address[1]
+        host, port = server.address
         connection = http.client.HTTPConnection(host, port, timeout=10)
         try:
             connection.request(

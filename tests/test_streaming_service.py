@@ -6,7 +6,6 @@ surfaced by ``/stats``, and the ``repro update`` CLI command.
 """
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -19,8 +18,9 @@ from repro.datasets.generators import planted_blocks
 from repro.errors import ServiceError
 from repro.graph.bipartite import BipartiteGraph
 from repro.service.artifacts import read_manifest
+from repro.service.aserver import start_server_thread
 from repro.service.build import build_index_artifact
-from repro.service.server import ENDPOINTS, TipService, create_server
+from repro.service.server import ENDPOINTS, TipService
 
 
 @pytest.fixture
@@ -171,10 +171,8 @@ class TestUpdateEndpointOffline:
 
 class TestUpdateEndpointHttp:
     def test_post_update_and_stats(self, artifact, graph):
-        server = create_server([artifact], port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://{server.server_address[0]}:{server.server_address[1]}"
+        server = start_server_thread([artifact])
+        base = server.base_url
         try:
             body = json.dumps(
                 {"delete": [list(map(int, graph.edge_array()[0]))]}
@@ -199,8 +197,7 @@ class TestUpdateEndpointHttp:
                 urllib.request.urlopen(base + "/update", timeout=30)
             assert excinfo.value.code == 405
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
 
     def test_update_is_a_registered_endpoint(self):
         assert "/update" in ENDPOINTS
