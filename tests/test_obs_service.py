@@ -72,6 +72,24 @@ class TestAsyncMetrics:
         yield handle
         handle.stop()
 
+    def test_scrape_is_valid_and_complete(self, handle):
+        for vertex in range(4):
+            urllib.request.urlopen(
+                f"{handle.base_url}/theta?vertex={vertex}", timeout=10).read()
+        status, content_type, text = _get_text(f"{handle.base_url}/metrics")
+        assert status == 200
+        assert content_type == METRICS_CONTENT_TYPE
+        samples = _parse_samples(text)
+        for name in DOCUMENTED_METRICS:
+            assert f"# TYPE {name} " in text, name
+        # The latency histogram is populated for the route we hit.
+        bucket = ('repro_http_request_seconds_bucket'
+                  '{transport="async",route="/theta",le="+Inf"}')
+        assert int(float(samples[bucket])) >= 4
+        counted = ('repro_http_requests_total'
+                   '{transport="async",route="/theta",status="200"}')
+        assert int(float(samples[counted])) >= 4
+
     def test_scrape_includes_coalescer_histograms(self, handle):
         for vertex in range(6):
             urllib.request.urlopen(
@@ -84,10 +102,6 @@ class TestAsyncMetrics:
             assert f"# TYPE {name} " in text, name
         assert int(float(samples["repro_coalesce_batch_size_count"])) >= 6
         assert int(float(samples["repro_coalesce_wait_seconds_count"])) >= 6
-        # The latency histogram is populated for the route we hit.
-        bucket = ('repro_http_request_seconds_bucket'
-                  '{transport="async",route="/theta",le="+Inf"}')
-        assert int(float(samples[bucket])) >= 6
         counted = ('repro_http_requests_total'
                    '{transport="async",route="/theta",status="200"}')
         assert int(float(samples[counted])) >= 6
