@@ -28,15 +28,15 @@ front end closes the gap like an inference-serving batcher:
   answers 503 + ``Retry-After`` immediately, so a write burst never
   stalls the coalesced read pipeline.
 
-Routing stays :meth:`~repro.service.server.TipService.handle` (the θ fast
-path goes through its vectorized twin
-:meth:`~repro.service.server.TipService.theta_payloads`), so offline and
-served answers are byte-for-byte identical — the serving benchmark
-asserts exactly that.  That fall-through also covers the
-sharded query surface and the replication plane for free; the one
-blocking replication route (``POST /replication/apply`` replays a
-streaming repair) hops to the default executor so the event loop keeps
-serving reads while a follower catches up.
+Every other request is answered by
+:meth:`~repro.service.server.TipService.handle` (the θ fast path by its
+vectorized twin :meth:`~repro.service.server.TipService.theta_payloads`),
+so offline and served answers are byte-for-byte identical — the serving
+benchmark asserts exactly that.  Where a route runs is read from its
+:data:`~repro.service.server.ROUTES` entry: inline on the event loop, on
+the default executor (``/debug/profile`` samples for seconds,
+``POST /replication/apply`` replays a streaming repair) or on the
+admission-controlled writer (``/update``).
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .resilience import Deadline
 from .server import (
     MAX_REQUEST_BODY_BYTES,
     METRICS_CONTENT_TYPE,
+    ROUTES,
     TipService,
     error_payload,
     parse_post_body,
@@ -86,6 +87,12 @@ class _BadRequest(ServiceError):
 
 def _json_bytes(payload: dict) -> bytes:
     return json.dumps(to_jsonable(payload)).encode("utf-8")
+
+
+def _theta_bytes(payload: dict) -> bytes:
+    # Byte-identical to _json_bytes({"vertex": v, "theta": t}) without the
+    # serializer round trip: the coalesced point-θ hot path.
+    return b'{"vertex": %d, "theta": %d}' % (payload["vertex"], payload["theta"])
 
 
 class AsyncTipServer:
@@ -248,9 +255,7 @@ class AsyncTipServer:
                 except asyncio.CancelledError:
                     raise
                 except Exception as error:  # a response slot must never die
-                    payload = self._render(
-                        500, _json_bytes(error_payload(error, status=500)),
-                        close=True)
+                    payload = self._render_error(error, close=True)
                     close = True
             if not broken:
                 try:
@@ -260,6 +265,7 @@ class AsyncTipServer:
                 except (ConnectionError, RuntimeError):
                     broken = True
             if close:
+                writer.close()  # EOF ends a read loop still awaiting requests
                 break
 
     async def _read_request(self, reader):
@@ -332,13 +338,17 @@ class AsyncTipServer:
         """One request → (response bytes | awaitable of bytes, close flag).
 
         Wraps the routing core with latency observation.  Deferred
-        responses (coalesced θ lookups, admitted updates) are observed
-        when their awaitable resolves, so the recorded latency includes
-        the coalescer/admission wait — the number a client actually sees.
+        responses (coalesced θ lookups, executor and writer routes) are
+        observed when their awaitable resolves, so the recorded latency
+        includes the coalescer/admission wait — the number a client
+        actually sees.
         """
         started = time.perf_counter()
-        item, close = self._dispatch_inner(method, target, headers, body, keep_alive)
-        route = urlsplit(target).path.rstrip("/") or "/"
+        parsed = urlsplit(target)
+        route = parsed.path.rstrip("/") or "/"
+        params = {key: values[-1] for key, values in parse_qs(parsed.query).items()}
+        item, close = self._dispatch_inner(
+            method, route, params, headers, body, not keep_alive)
         if isinstance(item, (bytes, bytearray)):
             # Rendered responses lead with b"HTTP/1.1 NNN ..."; slicing the
             # status back out beats threading it through every return site.
@@ -355,11 +365,8 @@ class AsyncTipServer:
             time.perf_counter() - started, quiet=self.quiet)
         return payload
 
-    def _dispatch_inner(self, method, target, headers, body, keep_alive):
-        close = not keep_alive
-        parsed = urlsplit(target)
-        params = {key: values[-1] for key, values in parse_qs(parsed.query).items()}
-        route = parsed.path.rstrip("/") or "/"
+    def _dispatch_inner(self, method, route, params, headers, body, close):
+        """Transport fast paths first; every other route from its ROUTES entry."""
         service = self.service
         try:
             if method == "GET":
@@ -377,47 +384,14 @@ class AsyncTipServer:
                             {"status": status, "artifacts": service.artifact_names})
                         self._healthz_bodies[status] = body
                     return self._render(200, body, close=close), close
-                if route == "/debug/profile":
-                    # Sampling blocks for up to MAX_PROFILE_SECONDS; run it
-                    # on the executor so the event loop keeps serving.
-                    task = asyncio.get_running_loop().create_task(
-                        self._profile_response(params, close))
-                    return task, close
                 if route == "/stats" and not params and self.stats_cache_seconds > 0:
                     return self._render(200, self._stats_body(), close=close), close
                 if route == "/theta":
-                    raw = params.get("vertex")
-                    vertex = None
-                    if raw is not None:
-                        try:
-                            vertex = int(raw)
-                        except (TypeError, ValueError):
-                            vertex = None  # handle() produces the exact 400
-                    deadline = None
-                    if vertex is not None and "deadline_ms" in params:
-                        try:
-                            deadline = Deadline.from_params(params)
-                        except ServiceError:
-                            vertex = None  # handle() produces the exact 400
-                    if vertex is not None:
-                        future = self.coalescer.submit(
-                            params.get("artifact"), vertex, deadline=deadline)
-                        return self._theta_response(future, close), close
-                payload = service.handle(route, params, None)
-                return self._render(200, _json_bytes(payload), close=close), close
-            if method == "POST":
-                if route == "/update":
-                    parsed_body = parse_post_body(body)
-                    task = asyncio.get_running_loop().create_task(
-                        self._update_response(params, parsed_body, close))
-                    return task, close
-                if route == "/replication/apply":
-                    # Replaying a record runs a full streaming repair;
-                    # like /debug/profile, it must not block the loop.
-                    parsed_body = parse_post_body(body)
-                    task = asyncio.get_running_loop().create_task(
-                        self._replication_response(params, parsed_body, close))
-                    return task, close
+                    future = self._coalesce(params)
+                    if future is not None:
+                        return self._respond(future, close, _theta_bytes), close
+                parsed_body = None
+            elif method == "POST":
                 content_type = headers.get("content-type", "")
                 if (route == "/theta/batch"
                         and content_type.split(";")[0].strip().lower()
@@ -425,75 +399,51 @@ class AsyncTipServer:
                     return self._render(
                         200, self._ndjson_batch(params, body), close=close,
                         content_type="application/x-ndjson"), close
-                payload = service.handle(route, params, parse_post_body(body))
+                parsed_body = parse_post_body(body)
+            else:
+                raise ServiceError(
+                    f"method {method} not allowed; use GET or POST", status=405)
+            entry = ROUTES.get(route)
+            runs_on = entry.runs_on if entry is not None else "loop"
+            if runs_on == "loop":
+                payload = service.handle(route, params, parsed_body)
                 return self._render(200, _json_bytes(payload), close=close), close
-            raise ServiceError(
-                f"method {method} not allowed; use GET or POST", status=405)
-        except ServiceError as error:
+            loop = asyncio.get_running_loop()
+            if runs_on == "writer":
+                work = self.admission.submit(params, parsed_body)
+            else:
+                work = loop.run_in_executor(
+                    None, service.handle, route, params, parsed_body)
+            # A task, so the work is admitted now rather than when the
+            # connection writer reaches this response slot.
+            return loop.create_task(self._respond(work, close, _json_bytes)), close
+        except ReproError as error:
             return self._render_error(error, close=close), close
-        except ReproError as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=close), close
         except Exception as error:  # a handler bug must not kill the loop
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=True), True
+            return self._render_error(error, close=True), True
 
-    async def _theta_response(self, future: asyncio.Future, close: bool) -> bytes:
+    def _coalesce(self, params: dict):
+        """Submit a point θ to the coalescer; None when handle() owns the 400."""
         try:
-            payload = await future
-        except ServiceError as error:
-            return self._render_error(error, close=close)
-        except Exception as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=True)
-        # Byte-identical to json.dumps({"vertex": v, "theta": t}) without
-        # the serializer round trip — this is the hot path.
-        body = b'{"vertex": %d, "theta": %d}' % (payload["vertex"], payload["theta"])
-        return self._render(200, body, close=close)
+            vertex = int(params["vertex"])
+            deadline = (Deadline.from_params(params)
+                        if "deadline_ms" in params else None)
+        except (KeyError, TypeError, ValueError, ServiceError):
+            return None
+        return self.coalescer.submit(params.get("artifact"), vertex, deadline=deadline)
 
-    async def _profile_response(self, params: dict, close: bool) -> bytes:
-        loop = asyncio.get_running_loop()
+    async def _respond(self, awaitable, close: bool, render) -> bytes:
+        """A deferred response: ``render(await awaitable)`` as a 200.
+
+        A :class:`ReproError` answers its structured error on the same
+        connection, exactly like the inline routes; any other exception
+        propagates to the connection writer, which answers 500 and closes.
+        """
         try:
-            payload = await loop.run_in_executor(
-                None, lambda: self.service.handle("/debug/profile", params, None))
-        except ServiceError as error:
-            return self._render_error(error, close=close)
+            payload = await awaitable
         except ReproError as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=close)
-        except Exception as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=True)
-        return self._render(200, _json_bytes(payload), close=close)
-
-    async def _replication_response(self, params: dict, body: dict, close: bool) -> bytes:
-        loop = asyncio.get_running_loop()
-        try:
-            payload = await loop.run_in_executor(
-                None,
-                lambda: self.service.handle("/replication/apply", params, body))
-        except ServiceError as error:
             return self._render_error(error, close=close)
-        except ReproError as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=close)
-        except Exception as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=True)
-        return self._render(200, _json_bytes(payload), close=close)
-
-    async def _update_response(self, params: dict, body: dict, close: bool) -> bytes:
-        try:
-            payload = await self.admission.submit(params, body)
-        except ServiceError as error:  # includes 503 ServiceOverloadedError
-            return self._render_error(error, close=close)
-        except ReproError as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=close)
-        except Exception as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=True)
-        return self._render(200, _json_bytes(payload), close=close)
+        return self._render(200, render(payload), close=close)
 
     def _stats_body(self) -> bytes:
         now = time.monotonic()
@@ -550,7 +500,9 @@ class AsyncTipServer:
         return head.encode("latin-1") + b"\r\n" + body
 
     def _render_error(self, error: Exception, *, close: bool) -> bytes:
-        payload = error_payload(error)
+        """Structured JSON error: a ServiceError's own status, else 500."""
+        payload = error_payload(
+            error, status=None if isinstance(error, ServiceError) else 500)
         extra = None
         retry_after = payload.get("retry_after_seconds")
         if retry_after is not None:
@@ -575,32 +527,12 @@ async def _serve_until_stopped(server: AsyncTipServer) -> None:
         await server.close()
 
 
-def serve_async(
-    artifact_paths,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8750,
-    cache_capacity: int = 8,
-    mmap: bool = True,
-    quiet: bool = False,
-    max_batch: int = DEFAULT_MAX_BATCH,
-    max_delay: float = 0.0,
-    max_pending_updates: int = 4,
-    service: TipService | None = None,
-) -> None:
-    """Serve artifacts until interrupted (the ``repro serve`` command body)."""
-    server = AsyncTipServer(
-        artifact_paths,
-        service=service,
-        host=host,
-        port=port,
-        cache_capacity=cache_capacity,
-        mmap=mmap,
-        max_batch=max_batch,
-        max_delay=max_delay,
-        max_pending_updates=max_pending_updates,
-        quiet=quiet,
-    )
+def serve_async(artifact_paths, *, quiet: bool = False, **options) -> None:
+    """Serve artifacts until interrupted (the ``repro serve`` command body).
+
+    ``options`` are :class:`AsyncTipServer` keyword arguments.
+    """
+    server = AsyncTipServer(artifact_paths, quiet=quiet, **options)
     try:
         asyncio.run(_serve_until_stopped(server))
     except KeyboardInterrupt:
@@ -638,22 +570,13 @@ class AsyncServerHandle:
         self._thread.join(timeout)
 
 
-def start_server_thread(
-    artifact_paths=None,
-    *,
-    service: TipService | None = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    cache_capacity: int = 8,
-    mmap: bool = True,
-    max_batch: int = DEFAULT_MAX_BATCH,
-    max_delay: float = 0.0,
-    max_pending_updates: int = 4,
-    retry_after_seconds: float = 1.0,
-    stats_cache_seconds: float = 0.05,
-    quiet: bool = True,
-) -> AsyncServerHandle:
-    """Start an :class:`AsyncTipServer` on a daemon thread and wait for bind."""
+def start_server_thread(artifact_paths=None, *, port: int = 0,
+                        **options) -> AsyncServerHandle:
+    """Start an :class:`AsyncTipServer` on a daemon thread and wait for bind.
+
+    ``options`` are :class:`AsyncTipServer` keyword arguments; ``port``
+    defaults to 0 (any free port).
+    """
     started = threading.Event()
     box: dict = {}
 
@@ -662,20 +585,7 @@ def start_server_thread(
 
         async def main() -> None:
             """Build, start and run the server inside the thread's loop."""
-            server = AsyncTipServer(
-                artifact_paths,
-                service=service,
-                host=host,
-                port=port,
-                cache_capacity=cache_capacity,
-                mmap=mmap,
-                max_batch=max_batch,
-                max_delay=max_delay,
-                max_pending_updates=max_pending_updates,
-                retry_after_seconds=retry_after_seconds,
-                stats_cache_seconds=stats_cache_seconds,
-                quiet=quiet,
-            )
+            server = AsyncTipServer(artifact_paths, port=port, **options)
             await server.start()
             box["server"] = server
             box["loop"] = asyncio.get_running_loop()

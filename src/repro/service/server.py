@@ -9,7 +9,7 @@ byte-identical.  This module also owns the pieces of the wire format that
 front end renders: :func:`error_payload`, :func:`parse_post_body`,
 :func:`to_jsonable` and the documented metric families.
 
-Endpoints (all JSON)::
+Routes (all JSON; :data:`ROUTES` is the one table behind :meth:`TipService.handle`)::
 
     GET  /healthz                          liveness + served artifact names
     GET  /metrics                          Prometheus text exposition (0.0.4)
@@ -23,11 +23,17 @@ Endpoints (all JSON)::
     POST /update {"insert": [[u,v],..],    apply an edge-update batch: CSR
                   "delete": [[u,v],..]}    patch + incremental tip repair
 
-Diagnostic (operator) routes — ``GET /slo``, ``GET /debug/memory``,
-``GET /debug/profile`` — and, when replication is attached, the
-replication plane (``GET /replication/status``, ``GET /replication/log``,
-``POST /replication/apply``) ride the same dispatch; see
-:data:`DIAGNOSTIC_ENDPOINTS`.
+    GET  /slo[?cached=1]                   SLO burn-rate evaluation
+    GET  /debug/memory[?cached=1]          memory snapshot
+    GET  /debug/profile?seconds=S          on-demand sampling profile
+    GET  /replication/status               offset / lag / staleness
+    GET  /replication/log?from=N           update-log records after offset N
+    POST /replication/apply                follower: apply one pushed record
+    GET  /replication/snapshot             leader: consistent artifact copy
+
+The second block lists the operator routes (:data:`DIAGNOSTIC_ENDPOINTS`);
+``/replication/*`` answer 404 unless replication is attached.  ``/metrics``
+is a transport concern, rendered by the HTTP front end itself.
 
 The service can also answer from **θ-range shards** instead of one
 monolithic index: pass ``shards=N`` to scatter/gather over an in-memory
@@ -55,7 +61,9 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -83,6 +91,8 @@ from .sharding import ShardRouter, is_shard_plan, read_shard_plan
 
 __all__ = [
     "TipService",
+    "Route",
+    "ROUTES",
     "ENDPOINTS",
     "DIAGNOSTIC_ENDPOINTS",
     "DOCUMENTED_METRICS",
@@ -90,38 +100,6 @@ __all__ = [
     "error_payload",
     "parse_post_body",
 ]
-
-#: The eight routes of the JSON API.
-ENDPOINTS = (
-    "/healthz",
-    "/stats",
-    "/theta",
-    "/theta/batch",
-    "/top-k",
-    "/k-tip",
-    "/community",
-    "/update",
-)
-
-#: Deep-diagnostics routes.  Kept out of :data:`ENDPOINTS` on purpose:
-#: that tuple is the *JSON API contract* the serving benchmarks compare
-#: against the offline rendering and across versions, while these are
-#: operator surfaces that may grow or change shape between PRs.
-DIAGNOSTIC_ENDPOINTS = (
-    "/slo",
-    "/debug/memory",
-    "/debug/profile",
-    "/replication/status",
-    "/replication/log",
-    "/replication/apply",
-    "/replication/snapshot",
-)
-
-#: Routes that get their own label value in request metrics; everything
-#: else collapses into ``<unknown>`` so scanners can't grow the label set.
-#: ``/metrics`` is deliberately NOT in :data:`ENDPOINTS` (it is a transport
-#: concern, not part of the JSON API contract the benchmarks compare).
-_COUNTED_ROUTES = ENDPOINTS + DIAGNOSTIC_ENDPOINTS + ("/metrics",)
 
 #: ``Content-Type`` of the Prometheus text exposition format 0.0.4.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -167,10 +145,6 @@ DOCUMENTED_METRICS = (
     "repro_faults_injected_total",
 )
 
-
-def metric_route(route: str) -> str:
-    """Normalise a request path into a bounded metric label value."""
-    return route if route in _COUNTED_ROUTES else "<unknown>"
 
 #: Hard cap on one response's vertex payload; override per-request with a
 #: smaller ``limit``.
@@ -239,6 +213,24 @@ def to_jsonable(value):
     if isinstance(value, (list, tuple)):
         return [to_jsonable(item) for item in value]
     return value
+
+
+@dataclass(frozen=True)
+class Route:
+    """One entry of :data:`ROUTES`: how a path is answered and where it runs."""
+
+    #: Called as ``handler(service, params, body)``; returns the JSON-able
+    #: payload or raises :class:`ServiceError`.
+    handler: Callable[[TipService, dict, dict | None], dict]
+    #: ``"api"`` (the JSON API contract, :data:`ENDPOINTS`) or
+    #: ``"diagnostic"`` (operator surfaces, :data:`DIAGNOSTIC_ENDPOINTS`).
+    group: str
+    #: Where the async transport runs it: ``"loop"`` (inline on the event
+    #: loop), ``"executor"`` (blocking work on the default executor) or
+    #: ``"writer"`` (the admission-controlled single writer thread).
+    runs_on: str = "loop"
+    #: Answer 404 unless a replication coordinator is attached.
+    needs_replication: bool = False
 
 
 class TipService:
@@ -348,13 +340,24 @@ class TipService:
 
     def artifact_path(self, name: str) -> Path:
         """Filesystem path of a served artifact or shard plan, by name."""
+        return self._resolve(name)[1]
+
+    def _resolve(self, name: str | None) -> tuple[str, Path]:
+        """(name, path) of a served artifact; ``None`` means the only one."""
+        if name is None:
+            if len(self._artifacts) != 1:
+                raise ServiceError(
+                    "multiple artifacts served; pass artifact=NAME "
+                    f"(one of: {', '.join(self._artifacts)})"
+                )
+            name = next(iter(self._artifacts))
         path = self._artifacts.get(name)
         if path is None:
             raise ServiceError(
                 f"unknown artifact {name!r} (serving: {', '.join(self._artifacts)})",
                 status=404,
             )
-        return path
+        return name, path
 
     def attach_replication(self, coordinator) -> None:
         """Join a replication topology (called by the coordinator).
@@ -380,7 +383,7 @@ class TipService:
         fingerprint-chain checks happen there, the actual CSR patch + tip
         repair is the exact ``/update`` code path.
         """
-        return self._apply_update(artifact, {}, body, replicated=True)
+        return self._apply_update(artifact, body, replicated=True)
 
     def count_requests(self, route: str, n: int = 1) -> None:
         """Advance the per-route request counter (fast paths bypass handle)."""
@@ -733,7 +736,7 @@ class TipService:
                 pass
         return total
 
-    def _memory_payload(self, params: dict) -> dict:
+    def _memory_payload(self, params: dict, body: dict | None) -> dict:
         if _flag_param(params, "cached"):
             if self._last_memory is None:
                 raise ServiceError("no memory snapshot collected yet", status=404)
@@ -747,7 +750,7 @@ class TipService:
         self._last_memory = payload
         return payload
 
-    def _profile_payload(self, params: dict) -> dict:
+    def _profile_payload(self, params: dict, body: dict | None) -> dict:
         if _flag_param(params, "last"):
             if self._last_profile is None:
                 raise ServiceError("no profile collected yet", status=404)
@@ -830,16 +833,9 @@ class TipService:
 
     def _manifest_summary(self, name: str | None) -> dict:
         """Per-artifact /stats summary from the manifest alone (no load)."""
-        if name is None and len(self._artifacts) == 1:
-            name = next(iter(self._artifacts))
-        path = self._artifacts.get(name or "")
-        if path is None:
-            raise ServiceError(
-                f"unknown artifact {name!r} (serving: {', '.join(self._artifacts)})",
-                status=404,
-            )
+        name, path = self._resolve(name)
         if name in self._routers:
-            return self._plan_summary(str(name), path)
+            return self._plan_summary(name, path)
         manifest = self._read_manifest_retrying(path)
         streaming = manifest.streaming
         summary = {
@@ -878,7 +874,7 @@ class TipService:
             },
         }
         if self.shard_count:
-            view = self._shard_views.get(str(name))
+            view = self._shard_views.get(name)
             summary["sharding"] = {
                 "mode": "in-memory",
                 "n_shards": view[1].n_shards if view else self.shard_count,
@@ -888,20 +884,7 @@ class TipService:
 
     def index_for(self, name: str | None = None) -> TipIndex | ShardRouter:
         """The query engine for an artifact name: index, plan, or shard view."""
-        if name is None:
-            if len(self._artifacts) == 1:
-                name = next(iter(self._artifacts))
-            else:
-                raise ServiceError(
-                    "multiple artifacts served; pass artifact=NAME "
-                    f"(one of: {', '.join(self._artifacts)})"
-                )
-        path = self._artifacts.get(name)
-        if path is None:
-            raise ServiceError(
-                f"unknown artifact {name!r} (serving: {', '.join(self._artifacts)})",
-                status=404,
-            )
+        name, path = self._resolve(name)
         if name in self._routers:
             return self._routers[name]
         index = self.cache.get_or_load(path, mmap=self.mmap)
@@ -956,7 +939,7 @@ class TipService:
                 raise ServiceError(f'body field "{key}" contains an id outside int64 range')
         return raw
 
-    def _apply_update(self, artifact: str | None, params: dict, body: dict | None,
+    def _apply_update(self, artifact: str | None, body: dict | None,
                       *, replicated: bool = False) -> dict:
         """Apply one edge-update batch (the ``/update`` body).
 
@@ -976,20 +959,7 @@ class TipService:
         if not inserts and not deletes:
             raise ServiceError('update body must carry "insert" and/or "delete" edges')
 
-        name = artifact
-        if name is None:
-            if len(self._artifacts) != 1:
-                raise ServiceError(
-                    "multiple artifacts served; pass artifact=NAME "
-                    f"(one of: {', '.join(self._artifacts)})"
-                )
-            name = next(iter(self._artifacts))
-        path = self._artifacts.get(name)
-        if path is None:
-            raise ServiceError(
-                f"unknown artifact {name!r} (serving: {', '.join(self._artifacts)})",
-                status=404,
-            )
+        name, path = self._resolve(artifact)
         if name in self._routers:
             raise ServiceError(
                 "shard plans are read-only; apply updates to the source "
@@ -1221,6 +1191,143 @@ class TipService:
         }
 
     # ------------------------------------------------------------------
+    # Route handlers (see ROUTES): each takes (params, body)
+    # ------------------------------------------------------------------
+    def _healthz(self, params: dict, body: dict | None) -> dict:
+        # Liveness always answers 200; SLO breaches surface as a
+        # ``degraded`` status so orchestrators can alarm without
+        # restarting a server that is up but slow.
+        slo = self.slo.evaluate()
+        return {"status": slo["status"], "artifacts": self.artifact_names}
+
+    def _slo(self, params: dict, body: dict | None) -> dict:
+        if _flag_param(params, "cached"):
+            cached = self.slo.last_payload
+            if cached is None:
+                raise ServiceError("no SLO evaluation recorded yet", status=404)
+            return cached
+        return self.slo.evaluate()
+
+    def _stats(self, params: dict, body: dict | None) -> dict:
+        artifact = params.get("artifact")
+        payload: dict = {"artifacts": {}}
+        names = [artifact] if artifact else self.artifact_names
+        want_histogram = _flag_param(params, "histogram")
+        for name in names:
+            summary = self._manifest_summary(name)
+            if want_histogram:
+                # The histogram needs the index; everything else comes
+                # from the manifest so a monitoring poll of /stats never
+                # cold-loads (and LRU-thrashes) unqueried artifacts.
+                index = self.index_for(name)
+                summary["histogram"] = {
+                    str(level): count for level, count in index.histogram().items()
+                }
+            payload["artifacts"][name] = summary
+        # Cache metrics are read after the summaries so the loads they
+        # triggered are reflected in the numbers.
+        payload["cache"] = self.cache.stats()
+        with self._requests_lock:
+            payload["requests"] = dict(self.requests)
+            payload["updates"] = dict(self.update_modes)
+            # Uptime from the monotonic clock so an NTP step can never
+            # produce a negative or jumping value mid-poll.
+            payload["server"] = {
+                "started_unix": self.started_unix,
+                "uptime_seconds": time.monotonic() - self._started_monotonic,
+                "requests_total": dict(self.requests),
+            }
+        if self.transport_metrics:
+            payload["transport"] = {
+                name: provider() for name, provider in self.transport_metrics.items()
+            }
+        if self.replication is not None:
+            payload["replication"] = self.replication.status()
+        resilience: dict = {
+            "breakers": self.breakers.snapshot(),
+            "faults": faults.metrics(),
+        }
+        with self._requests_lock:
+            resilience["degraded_total"] = self.degraded_total
+            resilience["deadline_exceeded_total"] = self.deadline_exceeded_total
+        if self.replication is not None:
+            resilience["retry"] = self.replication.retry_policy.stats()
+            resilience["resyncs"] = self.replication.resyncs
+        payload["resilience"] = resilience
+        return payload
+
+    def _update(self, params: dict, body: dict | None) -> dict:
+        return self._apply_update(params.get("artifact"), body)
+
+    def _theta(self, params: dict, body: dict | None) -> dict:
+        deadline = Deadline.from_params(params)
+        index = self.index_for(params.get("artifact"))
+        vertex = self._int_param(params, "vertex")
+        if deadline is not None and deadline.expired():
+            self.count_deadline_exceeded()
+            deadline.raise_if_expired("/theta")
+        return {"vertex": vertex, "theta": index.theta(vertex)}
+
+    def _theta_batch(self, params: dict, body: dict | None) -> dict:
+        if body is not None and "deadline_ms" in body:
+            deadline = Deadline.from_params(body)
+        else:
+            deadline = Deadline.from_params(params)
+        index = self.index_for(params.get("artifact"))
+        vertices = self._vertices_param(params, body)
+        if deadline is None:
+            return {"vertices": vertices, "thetas": index.theta_batch(vertices)}
+        return self._theta_batch_deadline(index, vertices, deadline)
+
+    def _top_k(self, params: dict, body: dict | None) -> dict:
+        index = self.index_for(params.get("artifact"))
+        k = self._int_param(params, "k")
+        if k > MAX_RESPONSE_VERTICES:
+            raise ServiceError(
+                f"top-k is capped at {MAX_RESPONSE_VERTICES} vertices per "
+                f"response, got k={k}"
+            )
+        vertices, thetas = index.top_k(k)
+        return {"k": k, "vertices": vertices, "thetas": thetas}
+
+    def _k_tip(self, params: dict, body: dict | None) -> dict:
+        index = self.index_for(params.get("artifact"))
+        k = self._int_param(params, "k")
+        limit = (
+            self._int_param(params, "limit")
+            if "limit" in params else MAX_RESPONSE_VERTICES
+        )
+        if limit < 0:
+            raise ServiceError(f"limit must be non-negative, got {limit}")
+        limit = min(limit, MAX_RESPONSE_VERTICES)
+        size = index.k_tip_size(k)
+        members = index.k_tip_members(k, limit=limit)
+        return {
+            "k": k,
+            "size": size,
+            "truncated": bool(size > limit),
+            "vertices": members,
+        }
+
+    def _community(self, params: dict, body: dict | None) -> dict:
+        index = self.index_for(params.get("artifact"))
+        k = self._int_param(params, "k")
+        vertex = self._int_param(params, "vertex") if "vertex" in params else None
+        candidates = index.k_tip_size(k)
+        if candidates > MAX_COMMUNITY_VERTICES:
+            raise ServiceError(
+                f"level {k} has {candidates} vertices; community extraction "
+                f"is capped at {MAX_COMMUNITY_VERTICES} — query a higher k"
+            )
+        components = index.communities(k, vertex=vertex)
+        return {
+            "k": k,
+            "vertex": vertex,
+            "n_communities": len(components),
+            "communities": components,
+        }
+
+    # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def handle(self, route: str, params: dict | None = None, body: dict | None = None) -> dict:
@@ -1230,163 +1337,66 @@ class TipService:
         # Only known routes get their own counter entry; arbitrary scanner
         # paths would otherwise grow the Counter (and /stats) without bound.
         self.count_requests(route)
-        artifact = params.get("artifact")
-
-        if route == "/healthz":
-            # Liveness always answers 200; SLO breaches surface as a
-            # ``degraded`` status so orchestrators can alarm without
-            # restarting a server that is up but slow.
-            slo = self.slo.evaluate()
-            return {"status": slo["status"], "artifacts": self.artifact_names}
-
-        if route == "/slo":
-            if _flag_param(params, "cached"):
-                cached = self.slo.last_payload
-                if cached is None:
-                    raise ServiceError("no SLO evaluation recorded yet", status=404)
-                return cached
-            return self.slo.evaluate()
-
-        if route == "/debug/memory":
-            return self._memory_payload(params)
-
-        if route == "/debug/profile":
-            return self._profile_payload(params)
-
-        if route.startswith("/replication/"):
-            if self.replication is None:
-                raise ServiceError(
-                    "replication is not configured on this server "
-                    "(start with --role leader or --role follower)", status=404)
-            if route == "/replication/status":
-                return self.replication.status()
-            if route == "/replication/log":
-                return self.replication.log_payload(params)
-            if route == "/replication/apply":
-                return self.replication.handle_push(body)
-            if route == "/replication/snapshot":
-                return self.replication.snapshot_payload()
-
-        if route == "/stats":
-            payload: dict = {"artifacts": {}}
-            names = [artifact] if artifact else self.artifact_names
-            want_histogram = _flag_param(params, "histogram")
-            for name in names:
-                summary = self._manifest_summary(name)
-                if want_histogram:
-                    # The histogram needs the index; everything else comes
-                    # from the manifest so a monitoring poll of /stats never
-                    # cold-loads (and LRU-thrashes) unqueried artifacts.
-                    index = self.index_for(name)
-                    summary["histogram"] = {
-                        str(level): count for level, count in index.histogram().items()
-                    }
-                payload["artifacts"][name] = summary
-            # Cache metrics are read after the summaries so the loads they
-            # triggered are reflected in the numbers.
-            payload["cache"] = self.cache.stats()
-            with self._requests_lock:
-                payload["requests"] = dict(self.requests)
-                payload["updates"] = dict(self.update_modes)
-                # Uptime from the monotonic clock so an NTP step can never
-                # produce a negative or jumping value mid-poll.
-                payload["server"] = {
-                    "started_unix": self.started_unix,
-                    "uptime_seconds": time.monotonic() - self._started_monotonic,
-                    "requests_total": dict(self.requests),
-                }
-            if self.transport_metrics:
-                payload["transport"] = {
-                    name: provider() for name, provider in self.transport_metrics.items()
-                }
-            if self.replication is not None:
-                payload["replication"] = self.replication.status()
-            resilience: dict = {
-                "breakers": self.breakers.snapshot(),
-                "faults": faults.metrics(),
-            }
-            with self._requests_lock:
-                resilience["degraded_total"] = self.degraded_total
-                resilience["deadline_exceeded_total"] = self.deadline_exceeded_total
-            if self.replication is not None:
-                resilience["retry"] = self.replication.retry_policy.stats()
-                resilience["resyncs"] = self.replication.resyncs
-            payload["resilience"] = resilience
-            return payload
-
-        if route == "/update":
-            return self._apply_update(artifact, params, body)
-
-        if route == "/theta":
-            deadline = Deadline.from_params(params)
-            index = self.index_for(artifact)
-            vertex = self._int_param(params, "vertex")
-            if deadline is not None and deadline.expired():
-                self.count_deadline_exceeded()
-                deadline.raise_if_expired("/theta")
-            return {"vertex": vertex, "theta": index.theta(vertex)}
-
-        if route == "/theta/batch":
-            if body is not None and "deadline_ms" in body:
-                deadline = Deadline.from_params(body)
-            else:
-                deadline = Deadline.from_params(params)
-            index = self.index_for(artifact)
-            vertices = self._vertices_param(params, body)
-            if deadline is None:
-                thetas = index.theta_batch(vertices)
-                return {"vertices": vertices, "thetas": thetas}
-            return self._theta_batch_deadline(index, vertices, deadline)
-
-        if route == "/top-k":
-            index = self.index_for(artifact)
-            k = self._int_param(params, "k")
-            if k > MAX_RESPONSE_VERTICES:
-                raise ServiceError(
-                    f"top-k is capped at {MAX_RESPONSE_VERTICES} vertices per "
-                    f"response, got k={k}"
-                )
-            vertices, thetas = index.top_k(k)
-            return {"k": k, "vertices": vertices, "thetas": thetas}
-
-        if route == "/k-tip":
-            index = self.index_for(artifact)
-            k = self._int_param(params, "k")
-            limit = (
-                self._int_param(params, "limit")
-                if "limit" in params else MAX_RESPONSE_VERTICES
+        entry = ROUTES.get(route)
+        if entry is None:
+            raise ServiceError(
+                f"unknown route {route!r}; endpoints: {', '.join(ENDPOINTS)}; "
+                f"diagnostics: {', '.join(DIAGNOSTIC_ENDPOINTS)}", status=404
             )
-            if limit < 0:
-                raise ServiceError(f"limit must be non-negative, got {limit}")
-            limit = min(limit, MAX_RESPONSE_VERTICES)
-            size = index.k_tip_size(k)
-            members = index.k_tip_members(k, limit=limit)
-            return {
-                "k": k,
-                "size": size,
-                "truncated": bool(size > limit),
-                "vertices": members,
-            }
+        if entry.needs_replication and self.replication is None:
+            raise ServiceError(
+                "replication is not configured on this server "
+                "(start with --role leader or --role follower)", status=404)
+        return entry.handler(self, params, body)
 
-        if route == "/community":
-            index = self.index_for(artifact)
-            k = self._int_param(params, "k")
-            vertex = self._int_param(params, "vertex") if "vertex" in params else None
-            candidates = index.k_tip_size(k)
-            if candidates > MAX_COMMUNITY_VERTICES:
-                raise ServiceError(
-                    f"level {k} has {candidates} vertices; community extraction "
-                    f"is capped at {MAX_COMMUNITY_VERTICES} — query a higher k"
-                )
-            components = index.communities(k, vertex=vertex)
-            return {
-                "k": k,
-                "vertex": vertex,
-                "n_communities": len(components),
-                "communities": components,
-            }
 
-        raise ServiceError(
-            f"unknown route {route!r}; endpoints: {', '.join(ENDPOINTS)}; "
-            f"diagnostics: {', '.join(DIAGNOSTIC_ENDPOINTS)}", status=404
-        )
+#: The one route table, in documentation order.  :meth:`TipService.handle`
+#: dispatches from it, the async transport reads ``runs_on`` from it, and
+#: :data:`ENDPOINTS`, :data:`DIAGNOSTIC_ENDPOINTS` and the metric route
+#: labels are derived from it.
+ROUTES: dict[str, Route] = {
+    "/healthz": Route(TipService._healthz, "api"),
+    "/stats": Route(TipService._stats, "api"),
+    "/theta": Route(TipService._theta, "api"),
+    "/theta/batch": Route(TipService._theta_batch, "api"),
+    "/top-k": Route(TipService._top_k, "api"),
+    "/k-tip": Route(TipService._k_tip, "api"),
+    "/community": Route(TipService._community, "api"),
+    # Repairs tips and fsyncs the artifact: one admission-controlled writer.
+    "/update": Route(TipService._update, "api", runs_on="writer"),
+    "/slo": Route(TipService._slo, "diagnostic"),
+    "/debug/memory": Route(TipService._memory_payload, "diagnostic"),
+    # Sampling blocks for the requested seconds.
+    "/debug/profile": Route(TipService._profile_payload, "diagnostic", runs_on="executor"),
+    "/replication/status": Route(
+        lambda service, params, body: service.replication.status(),
+        "diagnostic", needs_replication=True),
+    "/replication/log": Route(
+        lambda service, params, body: service.replication.log_payload(params),
+        "diagnostic", needs_replication=True),
+    # Replaying a pushed record runs a full streaming repair.
+    "/replication/apply": Route(
+        lambda service, params, body: service.replication.handle_push(body),
+        "diagnostic", runs_on="executor", needs_replication=True),
+    "/replication/snapshot": Route(
+        lambda service, params, body: service.replication.snapshot_payload(),
+        "diagnostic", needs_replication=True),
+}
+
+#: The JSON API contract: what the serving benchmarks compare against the
+#: offline rendering and across versions.
+ENDPOINTS = tuple(path for path, route in ROUTES.items() if route.group == "api")
+
+#: Operator routes; they may grow or change shape between versions.
+DIAGNOSTIC_ENDPOINTS = tuple(
+    path for path, route in ROUTES.items() if route.group == "diagnostic")
+
+#: Routes that get their own label value in request metrics; everything
+#: else collapses into ``<unknown>`` so scanners can't grow the label set.
+#: ``/metrics`` is answered by the transport, not by :data:`ROUTES`.
+_COUNTED_ROUTES = frozenset(ROUTES) | {"/metrics"}
+
+
+def metric_route(route: str) -> str:
+    """Normalise a request path into a bounded metric label value."""
+    return route if route in _COUNTED_ROUTES else "<unknown>"

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.receipt import tip_decomposition
 from repro.datasets.generators import planted_blocks
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.service.artifacts import save_artifact
 from repro.service.aserver import start_server_thread
 from repro.service.server import (
@@ -179,6 +179,63 @@ class TestPersistentConnections:
             handle.stop()
 
 
+class TestFailedRequests:
+    """A library error answers 500 in-band; only a handler bug closes."""
+
+    @pytest.fixture()
+    def served(self, artifact):
+        path, _, _ = artifact
+        service = TipService([path])
+        handle = start_server_thread(service=service)
+        yield service, handle
+        handle.stop()
+
+    @staticmethod
+    def _pipeline(handle, targets):
+        burst = b"".join(
+            f"GET {target} HTTP/1.1\r\nHost: x\r\n\r\n".encode() for target in targets)
+        with socket.create_connection(handle.address, timeout=10) as sock:
+            sock.sendall(burst)
+            reader = _ResponseReader(sock)
+            answers = []
+            for _ in targets:
+                try:
+                    status_line, body = reader.read_response()
+                except ConnectionError:
+                    break  # the server closed the connection
+                closes = b"Connection: close" in reader.head
+                answers.append((status_line, closes, body))
+            return answers
+
+    def test_repro_error_on_coalesced_theta_keeps_the_connection(
+            self, served, monkeypatch):
+        service, handle = served
+
+        def failing_gather(artifact, vertices):
+            raise ReproError("gather failed")
+
+        monkeypatch.setattr(service, "theta_payloads", failing_gather)
+        answers = self._pipeline(handle, ["/theta?vertex=1", "/top-k?k=1"])
+        assert answers[0] == (
+            "HTTP/1.1 500 Internal Server Error", False,
+            b'{"error": "gather failed", "status": 500}')
+        assert answers[1][:2] == ("HTTP/1.1 200 OK", False)
+        assert json.loads(answers[1][2])["k"] == 1
+
+    def test_handler_bug_on_coalesced_theta_closes_the_connection(
+            self, served, monkeypatch):
+        service, handle = served
+
+        def buggy_gather(artifact, vertices):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(service, "theta_payloads", buggy_gather)
+        answers = self._pipeline(handle, ["/theta?vertex=1", "/top-k?k=1"])
+        assert answers == [(
+            "HTTP/1.1 500 Internal Server Error", True,
+            b'{"error": "bug", "status": 500}')]
+
+
 class _ResponseReader:
     """Parse HTTP/1.1 responses off a raw socket, buffering across reads.
 
@@ -200,6 +257,7 @@ class _ResponseReader:
         while b"\r\n\r\n" not in self._buffer:
             self._fill()
         head, _, self._buffer = self._buffer.partition(b"\r\n\r\n")
+        self.head = head
         status_line = head.split(b"\r\n", 1)[0].decode()
         length = None
         for line in head.split(b"\r\n")[1:]:

@@ -4,24 +4,30 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.core.receipt import tip_decomposition
 from repro.datasets.generators import planted_blocks
 from repro.errors import ServiceError
+from repro.service import server as server_module
 from repro.service.aserver import start_server_thread
 from repro.service.artifacts import save_artifact
 from repro.service.server import (
     DIAGNOSTIC_ENDPOINTS,
     DOCUMENTED_METRICS,
     ENDPOINTS,
+    ROUTES,
     TipService,
     to_jsonable,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(autouse=True)
@@ -200,6 +206,21 @@ class TestRouting:
             "/slo", "/debug/memory", "/debug/profile",
             "/replication/status", "/replication/log", "/replication/apply",
             "/replication/snapshot")
+
+    def test_route_lists_derive_from_the_table(self):
+        assert ENDPOINTS == (
+            "/healthz", "/stats", "/theta", "/theta/batch", "/top-k",
+            "/k-tip", "/community", "/update")
+        assert ENDPOINTS + DIAGNOSTIC_ENDPOINTS == tuple(ROUTES)
+        assert {path for path, route in ROUTES.items() if route.runs_on != "loop"} == {
+            "/update", "/debug/profile", "/replication/apply"}
+
+    @pytest.mark.parametrize("doc", ["server.py docstring", "README.md"])
+    def test_every_route_is_documented(self, doc):
+        text = server_module.__doc__ if doc.endswith("docstring") else README.read_text()
+        missing = [path for path in ROUTES
+                   if not re.search(re.escape(path) + r"(?![\w/-])", text)]
+        assert not missing, f"{doc} does not list {missing}"
 
     def test_slo_and_memory_metric_families_documented(self):
         for name in ("repro_slo_burn_rate", "repro_slo_ok",

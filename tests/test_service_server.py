@@ -237,7 +237,7 @@ def _jsonable_default(value):
     raise TypeError(type(value))
 
 
-class TestThreadedKeepAlive:
+class TestKeepAlive:
     """The server speaks real HTTP/1.1 with persistent connections."""
 
     def test_http_11_connection_is_reused(self, server):
