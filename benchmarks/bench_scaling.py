@@ -16,8 +16,7 @@ parallel part of RECEIPT — through the execution engine:
 
 Every run is checked for bit-identical tip numbers, ``wedges_traversed``
 and ``support_updates`` against the serial oracle — the script exits
-non-zero on any mismatch.  Wall-clock times, measured speedups and the LPT
-cost-model projection (``repro.distributed.simulate_fd_fanout``) are
+non-zero on any mismatch.  Wall-clock times and measured speedups are
 written to ``BENCH_scaling.json`` at the repository root.
 
 ``--check-speedup`` additionally gates that the largest process fan-out
@@ -45,7 +44,6 @@ from repro.butterfly.counting import count_per_vertex_priority
 from repro.core.cd import coarse_grained_decomposition
 from repro.core.fd import fine_grained_decomposition
 from repro.datasets.registry import dataset_names, load_dataset
-from repro.distributed.simulation import simulate_fd_fanout
 from repro.parallel.threadpool import ExecutionContext
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -139,17 +137,14 @@ def main(argv=None) -> int:
             result, seconds = run_fd(graph, cd_result, context=context, rounds=rounds)
         check_identical(serial_result, result, f"process[{workers}]")
         process_seconds[workers] = seconds
-        projection = simulate_fd_fanout(graph, cd_result.subsets, workers)
         runs.append({
             "backend": "process",
             "workers": workers,
             "fd_seconds": round(seconds, 4),
             "speedup_vs_serial": round(serial_seconds / max(seconds, 1e-9), 2),
-            "projected_speedup_lpt": round(projection.projected_speedup, 2),
-            "load_imbalance_lpt": round(projection.schedule.imbalance, 3),
         })
         print(f"process[{workers}]: fd={seconds:.4f}s "
-              f"(projected ideal speedup {projection.projected_speedup:.2f}x)")
+              f"({serial_seconds / max(seconds, 1e-9):.2f}x serial)")
 
     max_workers = max(worker_counts)
     one_worker = process_seconds.get(1, serial_seconds)

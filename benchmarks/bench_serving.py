@@ -26,11 +26,7 @@ a full decomposition.  This benchmark quantifies that claim end-to-end:
    unpipelined p50/p99 latency, NDJSON bulk throughput, and read latency
    under mixed read/update load (admission-controlled writes racing
    coalesced reads).
-6. **Sharding + replication** — asserts the θ-range ``ShardRouter``
-   answers byte-identically to the unsharded service at every shard
-   count (offline and served), measures batch-θ throughput
-   per shard count, gates 1-shard scatter/gather at parity with the
-   unsharded path, and runs a leader + follower topology reporting
+6. **Replication** — runs a leader + follower topology reporting
    replication convergence (offsets, lag reaching 0, read identity).
 7. **Resilience** — arms a seeded :class:`~repro.service.faults.FaultPlan`
    that corrupts one replication push in flight, forcing the follower to
@@ -39,15 +35,13 @@ a full decomposition.  This benchmark quantifies that claim end-to-end:
    (with byte-identical reads) — all without operator action.
 
 Results go to ``BENCH_serving.json`` at the repository root.
-``--check-speedup`` gates four things: warm-cache batch-θ throughput is
+``--check-speedup`` gates three things: warm-cache batch-θ throughput is
 at least 10x the re-peel path (the serving layer's reason to exist),
 pipelined point-θ QPS is at least 10x the connection-per-request QPS of
-the same server (what coalescing and pipelining buy), 1-shard
-scatter/gather batch-θ throughput is at least parity (0.75x) with the
-unsharded index (sharding must not tax the degenerate deployment), and
-automatic divergence recovery completes under a fixed ceiling.
-Unlike wall-clock scaling gates all four hold on any hardware,
-single-core CI runners included.
+the same server (what coalescing and pipelining buy), and automatic
+divergence recovery completes under a fixed ceiling.  Unlike wall-clock
+scaling gates all three hold on any hardware, single-core CI runners
+included.
 
 Dataset generation honours ``REPRO_DATASET_CACHE`` (see
 ``repro.datasets.registry``).
@@ -92,10 +86,6 @@ SPEEDUP_GATE = 10.0
 #: Required point-QPS advantage of pipelined keep-alive clients over the
 #: same point-θ requests sent one ``urllib`` connection each.
 ASYNC_GATE = 10.0
-
-#: Required 1-shard scatter/gather batch-θ throughput relative to the
-#: unsharded index (the 1-shard fast path must cost ~nothing).
-SHARDING_PARITY_GATE = 0.75
 
 #: Ceiling on automatic divergence recovery: forced corrupt push ->
 #: follower marks diverged -> snapshot re-bootstrap -> lag 0.  Generous
@@ -481,66 +471,12 @@ def main(argv=None) -> int:
         finally:
             handle.stop()
 
-        # -- 6: sharded scatter/gather + replication --------------------
+        # -- 6: replication ---------------------------------------------
         import shutil
 
         from repro.service.replication import ReplicationCoordinator
-        from repro.service.sharding import ShardRouter
 
-        shard_counts = (1, 2, 4)
-        shard_identity_routes = IDENTITY_ROUTES + (
-            "/top-k?k=5", f"/k-tip?k={k_mid}&limit=16")
-
-        # Identity gate, offline: every shard count answers byte-identically.
-        shard_services = {n: TipService([artifact_path], shards=n)
-                          for n in shard_counts}
-        for n, sharded_service in shard_services.items():
-            for route in shard_identity_routes:
-                unsharded = _offline_bytes(offline_service, route)
-                sharded = _offline_bytes(sharded_service, route)
-                if unsharded != sharded:
-                    print(f"FAIL: {n}-shard router disagrees on {route}:\n"
-                          f"  unsharded {unsharded}\n"
-                          f"  sharded   {sharded}", file=sys.stderr)
-                    return 1
-
-        # Identity gate, served: each sharded service behind the server.
-        for n, sharded_service in shard_services.items():
-            shard_http = start_server_thread([], service=sharded_service)
-            try:
-                for route in shard_identity_routes:
-                    unsharded = _offline_bytes(offline_service, route)
-                    served_answer = _http_get_bytes(shard_http.base_url, route)
-                    if unsharded != served_answer:
-                        print(f"FAIL: {n}-shard server disagrees on {route}:\n"
-                              f"  offline  {unsharded}\n"
-                              f"  served   {served_answer}", file=sys.stderr)
-                        return 1
-            finally:
-                shard_http.stop()
-        print(f"sharding: {len(shard_identity_routes)} routes byte-identical "
-              f"at shard counts {list(shard_counts)} offline and served")
-
-        # Throughput scaling: batch-θ per shard count vs the raw index.
-        _, unsharded_seconds = _timed(
-            lambda: [index.theta_batch(batch) for batch in batches])
-        unsharded_batch_per_sec = (
-            batch_requests * batch_size) / max(unsharded_seconds, 1e-9)
-        shard_batch_per_sec = {}
-        for n in shard_counts:
-            router = ShardRouter.from_index(index, n)
-            _, sharded_seconds = _timed(
-                lambda: [router.theta_batch(batch) for batch in batches])
-            shard_batch_per_sec[n] = (
-                batch_requests * batch_size) / max(sharded_seconds, 1e-9)
-        one_shard_parity = shard_batch_per_sec[1] / max(unsharded_batch_per_sec, 1e-9)
-        scaling = " | ".join(
-            f"{n} shard(s) {qps:,.0f} θ/s"
-            for n, qps in shard_batch_per_sec.items())
-        print(f"sharding: unsharded {unsharded_batch_per_sec:,.0f} θ/s | "
-              f"{scaling} -> 1-shard parity {one_shard_parity:.2f}x")
-
-        # Replication: leader + follower convergence on artifact copies.
+        # Leader + follower convergence on artifact copies.
         leader_path = Path(workdir) / "leader.tipidx"
         follower_path = Path(workdir) / "follower.tipidx"
         shutil.copytree(artifact_path, leader_path)
@@ -734,17 +670,6 @@ def main(argv=None) -> int:
                 "coalescer": coalescer_metrics,
                 "admission": admission_metrics,
             },
-            "sharding": {
-                "shard_counts": list(shard_counts),
-                "identity_routes_checked": len(shard_identity_routes),
-                "transports_checked": ["offline", "async"],
-                "unsharded_batch_lookups_per_sec": round(
-                    unsharded_batch_per_sec, 1),
-                "batch_lookups_per_sec": {
-                    str(n): round(qps, 1)
-                    for n, qps in shard_batch_per_sec.items()},
-                "one_shard_parity": round(one_shard_parity, 3),
-            },
             "replication": {
                 "updates_applied": updates_applied,
                 "final_offset": int(status_payload["offset"]),
@@ -765,9 +690,6 @@ def main(argv=None) -> int:
             "speedup_gate_passed": bool(speedup >= SPEEDUP_GATE),
             "async_gate": ASYNC_GATE,
             "async_gate_passed": bool(async_speedup >= ASYNC_GATE),
-            "sharding_parity_gate": SHARDING_PARITY_GATE,
-            "sharding_parity_gate_passed": bool(
-                one_shard_parity >= SHARDING_PARITY_GATE),
             "recovery_gate_seconds": RECOVERY_GATE_SECONDS,
             "recovery_gate_passed": bool(
                 recovery_seconds <= RECOVERY_GATE_SECONDS),
@@ -790,13 +712,6 @@ def main(argv=None) -> int:
         return 1
     print(f"OK: pipelined point-θ QPS is {async_speedup:,.1f}x the "
           f"per-connection baseline (gate: {ASYNC_GATE:.0f}x)")
-    if args.check_speedup and one_shard_parity < SHARDING_PARITY_GATE:
-        print(f"FAIL: 1-shard scatter/gather batch-θ throughput is only "
-              f"{one_shard_parity:.2f}x the unsharded index "
-              f"(gate: {SHARDING_PARITY_GATE:.2f}x)", file=sys.stderr)
-        return 1
-    print(f"OK: 1-shard scatter/gather is {one_shard_parity:.2f}x the "
-          f"unsharded index (gate: {SHARDING_PARITY_GATE:.2f}x)")
     if args.check_speedup and recovery_seconds > RECOVERY_GATE_SECONDS:
         print(f"FAIL: automatic divergence recovery took "
               f"{recovery_seconds:.2f}s (gate: {RECOVERY_GATE_SECONDS:.0f}s)",

@@ -7,8 +7,7 @@ snapshot without operator action.  This script proves both over real
 HTTP, deterministically — the same seed always injects the same faults:
 
 1. decompose a planted-community graph and persist a ``*.tipidx``
-   artifact; copy it for one **leader** (2-shard router) and two
-   **followers**,
+   artifact; copy it for one **leader** and two **followers**,
 2. arm a seeded :class:`~repro.service.faults.FaultPlan` that drops and
    corrupts replication pushes (every rule count-capped, so the schedule
    provably clears),
@@ -74,14 +73,13 @@ def main() -> None:
         f2 = TipService([replicas["follower-2"]])
         f2_srv, f2_url = serve(f2)
 
-        leader = TipService([replicas["leader"]], shards=2)
+        leader = TipService([replicas["leader"]])
         lcoord = ReplicationCoordinator(
             leader, role="leader", log_path=work / "leader.replog",
             follower_urls=(f1_url, f2_url))
         lcoord.start()
         leader_srv, leader_url = serve(leader)
-        print(f"\nleader   {leader_url}  (2 shards, replication log, "
-              "push fan-out)")
+        print(f"\nleader   {leader_url}  (replication log, push fan-out)")
 
         # The poll threads stay stopped through the update phase: a poll
         # could apply a record from the leader's write-ahead log before its

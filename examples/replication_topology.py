@@ -1,16 +1,15 @@
-"""Sharded + replicated serving topology: leader, two followers, one process.
+"""Replicated serving topology: leader, two followers, one process.
 
-The operator runbook (docs/SHARDING.md) walks through the same topology as
+The operator runbook (docs/REPLICATION.md) walks through the same topology as
 three ``repro serve`` processes in three terminals; this script runs it
 in-process so CI can smoke the full loop deterministically:
 
 1. decompose a planted-community graph and persist a ``*.tipidx`` artifact,
-2. split it into a persisted θ-range shard plan (``repro shard-plan``),
-3. start a **leader** (sharded, with a replication log and push fan-out)
-   and **two followers** (one per copy of the artifact) over real HTTP,
-4. apply live edge updates at the leader only,
-5. wait for both followers to converge (offset caught up, lag 0), and
-6. prove replicated reads: the same ``/theta/batch`` answer, byte for
+2. start a **leader** (with a replication log and push fan-out) and
+   **two followers** (one per copy of the artifact) over real HTTP,
+3. apply live edge updates at the leader only,
+4. wait for both followers to converge (offset caught up, lag 0), and
+5. prove replicated reads: the same ``/theta/batch`` answer, byte for
    byte, from all three servers — then show the staleness gauges.
 
 Run with::
@@ -31,7 +30,6 @@ from repro.datasets import load_dataset
 from repro.service import build_index_artifact, start_server_thread
 from repro.service.replication import ReplicationCoordinator
 from repro.service.server import TipService
-from repro.service.sharding import write_shard_plan
 
 
 def make_updates(graph) -> tuple:
@@ -91,12 +89,6 @@ def main() -> None:
         print(f"artifact: {manifest.name}, fingerprint "
               f"{manifest.fingerprint[:12]}...")
 
-        # A persisted shard plan next to the artifact — `repro shard-plan`
-        # writes the same directory from the shell.
-        plan = write_shard_plan(source, work / "it.tipshards", 3)
-        ranges = [(s["theta_min"], s["theta_max"]) for s in plan["shards"]]
-        print(f"shard plan: {plan['n_shards']} θ-range shards, ranges {ranges}")
-
         # Each replica owns its own copy of the artifact, exactly like
         # three hosts would.
         replicas = {}
@@ -112,14 +104,12 @@ def main() -> None:
         f2 = TipService([replicas["follower-2"]])
         f2_srv, f2_url = serve(f2)
 
-        # The leader serves the *sharded* view of the same artifact — the
-        # router is transport-free, so replication composes with sharding.
-        leader = TipService([replicas["leader"]], shards=3)
+        leader = TipService([replicas["leader"]])
         lcoord = ReplicationCoordinator(
             leader, role="leader", follower_urls=(f1_url, f2_url))
         lcoord.start()
         leader_srv, leader_url = serve(leader)
-        print(f"\nleader   {leader_url}  (3 shards, push fan-out)")
+        print(f"\nleader   {leader_url}  (push fan-out)")
 
         fcoords = []
         for service, url in ((f1, f1_url), (f2, f2_url)):
@@ -182,7 +172,7 @@ def main() -> None:
     print("\ndone: the same topology runs from the shell with "
           "`repro serve --role leader --follower URL ...` and "
           "`repro serve --role follower --leader URL` "
-          "(see docs/SHARDING.md).")
+          "(see docs/REPLICATION.md).")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ Quickstart
 True
 """
 
-from . import analysis, butterfly, core, datasets, distributed, engine, graph, kernels, parallel, peeling, service, streaming, wing
+from . import analysis, butterfly, core, datasets, engine, graph, kernels, parallel, peeling, service, streaming, wing
 from .butterfly import ButterflyCounts, count_per_edge, count_per_vertex, count_total_butterflies
 from .core import (
     ReceiptConfig,
@@ -86,7 +86,6 @@ __all__ = [
     "butterfly",
     "core",
     "datasets",
-    "distributed",
     "graph",
     "kernels",
     "parallel",

@@ -20,14 +20,9 @@ Sub-commands:
   requests into one vectorized lookup per event-loop tick,
   admission-controls updates and exposes Prometheus metrics on ``GET
   /metrics`` (``--transport async`` is accepted and is the only
-  transport).  ``--shards N`` serves through the scatter/gather
-  :class:`ShardRouter` (bit-identical answers); ``--role leader
-  --follower URL`` / ``--role follower --leader URL`` run the replicated
-  topology where the leader fans validated update batches out to
-  read-only followers.
-* ``shard-plan`` — split a ``*.tipidx`` artifact into per-shard
-  artifacts keyed on disjoint θ ranges (the paper's CD subsets) and
-  write a loadable ``tip-shard-plan`` directory.
+  transport).  ``--role leader --follower URL`` / ``--role follower
+  --leader URL`` run the replicated topology where the leader fans
+  validated update batches out to read-only followers.
 * ``trace-summary`` — phase-time breakdown of a trace file written by
   ``--trace-out`` (available on ``decompose``, ``build-index``,
   ``compare``, ``update`` and ``serve``), mirroring the paper's
@@ -291,24 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
                                     "back to a full re-decomposition")
     _add_trace_argument(update_parser)
 
-    shard_parser = subparsers.add_parser(
-        "shard-plan",
-        help="split a tip-index artifact into per-θ-range shard artifacts")
-    shard_parser.add_argument("artifact", help="path to a *.tipidx artifact directory")
-    shard_parser.add_argument("--shards", type=int, required=True,
-                              help="requested shard count (cuts snap to tip-number "
-                                   "level boundaries, so fewer shards may result)")
-    shard_parser.add_argument("--out", required=True,
-                              help="shard-plan directory to write "
-                                   "(conventionally *.tipshards)")
-    shard_parser.add_argument("--force", action="store_true",
-                              help="replace an existing plan at --out")
-
     serve_parser = subparsers.add_parser(
         "serve", help="serve tip-index artifacts over the JSON HTTP API")
     serve_parser.add_argument("artifacts", nargs="+",
-                              help="one or more *.tipidx artifact directories "
-                                   "(or *.tipshards shard-plan directories)")
+                              help="one or more *.tipidx artifact directories")
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=8750,
                               help="TCP port (0 picks a free one)")
@@ -332,10 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--max-pending-updates", type=int, default=4,
                               help="bounded /update admission queue; overflow "
                                    "answers 503 + Retry-After (default 4)")
-    serve_parser.add_argument("--shards", type=int, default=None,
-                              help="answer queries through an in-memory θ-range "
-                                   "ShardRouter with this many shards "
-                                   "(bit-identical to unsharded serving)")
     serve_parser.add_argument("--role", default="standalone",
                               choices=["standalone", "leader", "follower"],
                               help="replication role: standalone (default, no "
@@ -603,15 +580,6 @@ def _command_update(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_shard_plan(args: argparse.Namespace) -> int:
-    from .service.sharding import write_shard_plan
-
-    payload = write_shard_plan(
-        args.artifact, args.out, args.shards, overwrite=args.force)
-    print(json.dumps(payload, indent=2))
-    return 0
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     # The TipService is built here (rather than inside serve_async) so a
     # replication coordinator can attach to it before the server starts
@@ -640,7 +608,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         args.artifacts,
         cache_capacity=args.cache_capacity,
         mmap=not args.no_mmap,
-        shards=args.shards,
     )
     service.breakers.configure(
         failure_threshold=args.breaker_threshold,
@@ -808,8 +775,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _command_query(args)
         if args.command == "update":
             return _command_update(args)
-        if args.command == "shard-plan":
-            return _command_shard_plan(args)
         if args.command == "serve":
             return _command_serve(args)
         if args.command == "trace-summary":

@@ -171,12 +171,11 @@ class CircuitOpenError(ServiceError):
 
 
 class DeadlineExceededError(ServiceError):
-    """Raised when a request's deadline expires before an answer exists.
+    """Raised when a request's deadline expires before it is answered.
 
-    The scatter/gather read path propagates per-request deadlines
-    (``deadline_ms``); when not even a partial (degraded) answer could be
-    assembled in time, the request fails with HTTP 503 plus a
-    ``Retry-After`` hint instead of hanging on a slow shard.
+    Read routes honour a per-request ``deadline_ms`` budget; a request
+    whose budget is spent fails whole with HTTP 503 plus a
+    ``Retry-After`` hint instead of returning a late answer.
     """
 
     def __init__(self, message: str, *, retry_after: float = 0.1):

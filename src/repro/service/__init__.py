@@ -25,9 +25,6 @@ milliseconds, without ever re-peeling:
   NDJSON bulk protocol, and admission-controlled updates.
 * :mod:`repro.service.build` — ``build_index_artifact``: decompose (via
   the configured execution backend) and persist in one step.
-* :mod:`repro.service.sharding` — θ-range shard planner (``repro
-  shard-plan``) and :class:`ShardRouter`, the exact scatter/gather front
-  end that answers bit-identically to the unsharded index.
 * :mod:`repro.service.replication` — leader/follower replication of the
   ``POST /update`` stream: monotone-offset JSONL log, deterministic
   state-fingerprint chain, push + poll delivery, lag/staleness metrics.
@@ -51,7 +48,6 @@ from .coalesce import ThetaCoalescer, UpdateAdmissionController
 from .index import TipIndex
 from .replication import ReplicationCoordinator, ReplicationLog, state_fingerprint
 from .server import TipService
-from .sharding import ShardRouter, plan_shards, read_shard_plan, write_shard_plan
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
@@ -70,10 +66,6 @@ __all__ = [
     "UpdateAdmissionController",
     "serve_async",
     "start_server_thread",
-    "ShardRouter",
-    "plan_shards",
-    "read_shard_plan",
-    "write_shard_plan",
     "ReplicationCoordinator",
     "ReplicationLog",
     "state_fingerprint",

@@ -139,20 +139,15 @@ class ThetaCoalescer:
                 if not future.done():
                     future.set_exception(error)
             return
-        # Prometheus histograms live on the service's one registry; getattr
-        # keeps bare test doubles working.
-        batch_hist = getattr(self._service, "coalesce_batch_size", None)
-        if batch_hist is not None:
-            batch_hist.observe(float(len(batch)))
-        wait_hist = getattr(self._service, "coalesce_wait_seconds", None)
-        count_expired = getattr(self._service, "count_deadline_exceeded", None)
+        # Prometheus histograms live on the service's one registry.
+        service = self._service
+        service.coalesce_batch_size.observe(float(len(batch)))
         # Group by artifact, preserving order within each group: one
         # vectorized lookup per artifact per flush.
         groups: dict = {}
         for artifact, vertex, future, enqueued_at, deadline in batch:
             self._waits.append(now - enqueued_at)
-            if wait_hist is not None:
-                wait_hist.observe(now - enqueued_at)
+            service.coalesce_wait_seconds.observe(now - enqueued_at)
             if deadline is not None and deadline.expired():
                 # The request's budget ran out while it waited in the
                 # queue; a late answer is worse than an honest 503.
@@ -162,13 +157,12 @@ class ThetaCoalescer:
                         f"{deadline.seconds * 1000.0:.0f}ms deadline while "
                         "queued",
                         retry_after=max(0.05, deadline.seconds)))
-                if count_expired is not None:
-                    count_expired()
+                service.count_deadline_exceeded()
                 continue
             groups.setdefault(artifact, []).append((vertex, future))
         for artifact, entries in groups.items():
             try:
-                results = self._service.theta_payloads(
+                results = service.theta_payloads(
                     artifact, [vertex for vertex, _ in entries])
             except Exception as error:  # defensive: never strand a future
                 for _, future in entries:

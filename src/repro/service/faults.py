@@ -20,7 +20,6 @@ Sites currently wired through the serving tier (see
 * ``replication.poll``  — follower → leader log / snapshot fetch
 * ``log.append``        — replication-log append (``corrupt`` simulates a
   crash mid-append: a torn half-line reaches disk, then the writer dies)
-* ``shard.gather``      — one shard's lookup inside scatter/gather
 * ``artifact.save``     — artifact persistence on the ``/update`` path
 * ``transport.coalesce`` — the async front end's batched flush
 
@@ -36,7 +35,7 @@ effectively nothing.
 Plan syntax (CLI / environment): rules separated by ``;`` or ``,``, each
 ``site:action[:key=value]...`` — for example::
 
-    replication.push:drop:p=0.5:count=3;shard.gather:delay:ms=20
+    replication.push:drop:p=0.5:count=3;artifact.save:delay:ms=20
 
 or a path to a JSON file ``{"seed": 7, "rules": [{"site": ..., "action":
 ..., "probability": ..., "count": ..., "after": ..., "delay_ms": ...}]}``.
@@ -77,7 +76,6 @@ FAULT_SITES = (
     "replication.push",
     "replication.poll",
     "log.append",
-    "shard.gather",
     "artifact.save",
     "transport.coalesce",
 )

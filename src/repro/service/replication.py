@@ -477,7 +477,7 @@ class ReplicationCoordinator:
 
         # Current replicated-state fingerprint; maintained incrementally
         # (each applied record's post-state) after the initial computation.
-        self._state = state_fingerprint(service.base_index_for(artifact))
+        self._state = state_fingerprint(service.index_for(artifact))
         self._apply_lock = threading.Lock()
         self._stop = threading.Event()
         self._poll_thread: threading.Thread | None = None
@@ -634,7 +634,7 @@ class ReplicationCoordinator:
             if record["offset"] <= start_offset:
                 continue
             self.service.apply_replicated(self.artifact, _record_body(record))
-            new_state = state_fingerprint(self.service.base_index_for(self.artifact))
+            new_state = state_fingerprint(self.service.index_for(self.artifact))
             if new_state != str(record["state"]):
                 raise ReplicationError(
                     f"replaying log record {record['offset']} produced state "
@@ -946,7 +946,7 @@ class ReplicationCoordinator:
         """Re-bootstrap this follower from a leader snapshot.
 
         Installs the snapshot with the same staging + rename swap the
-        shard planner uses, reloads the service's cached views, and
+        artifact writer uses, reloads the service's cached index, and
         rejoins the chain at the snapshot's offset.  Clears ``diverged``.
         """
         reason = self.diverged or "operator-requested resync"
@@ -996,7 +996,7 @@ class ReplicationCoordinator:
             raise ReplicationError(f"snapshot install failed: {exc}") from None
         shutil.rmtree(retired, ignore_errors=True)
         self.service.reload_artifact(self.artifact)
-        self._state = state_fingerprint(self.service.base_index_for(self.artifact))
+        self._state = state_fingerprint(self.service.index_for(self.artifact))
         if self._state != str(snapshot.get("state")):
             raise ReplicationError(
                 "installed leader snapshot fingerprints to "
@@ -1039,7 +1039,7 @@ class ReplicationCoordinator:
                 f"holds {self._state[:12]}...; replicas diverged")
             raise ReplicationError(self.diverged)
         payload = self.service.apply_replicated(self.artifact, _record_body(record))
-        repaired = self.service.base_index_for(self.artifact)
+        repaired = self.service.index_for(self.artifact)
         new_state = state_fingerprint(repaired)
         if new_state != str(record["state"]):
             self.diverged = (

@@ -13,10 +13,9 @@ Three small, composable pieces:
   owns the per-target instances and feeds the ``breaker-open`` SLO
   objective via :meth:`~CircuitBreakerRegistry.oldest_open_seconds`.
 * :class:`Deadline` — a per-request time budget (``deadline_ms`` query /
-  body parameter) propagated through scatter/gather so a slow shard
-  yields a structured ``degraded: true`` partial answer — or a 503
-  (:class:`~repro.errors.DeadlineExceededError`) when nothing resolved —
-  instead of an unbounded hang.
+  body parameter): a request whose budget is spent before it is answered
+  fails whole with a 503 (:class:`~repro.errors.DeadlineExceededError`,
+  with ``Retry-After``) instead of returning a late answer.
 
 All three are dependency-free and deterministic under test: the retry
 RNG is injectable, and both the breaker and deadline take a ``clock``
@@ -287,24 +286,25 @@ class CircuitBreakerRegistry:
 
 
 class Deadline:
-    """A per-request wall-clock budget propagated through scatter/gather.
+    """A per-request wall-clock budget.
 
     Built from the ``deadline_ms`` request parameter.  Call sites check
-    :meth:`expired` between units of work and either degrade (partial
-    answer) or raise :meth:`raise_if_expired`'s
-    :class:`~repro.errors.DeadlineExceededError`.
+    :meth:`expired` before answering and raise :meth:`raise_if_expired`'s
+    :class:`~repro.errors.DeadlineExceededError` once it is spent.
     """
 
-    def __init__(self, seconds: float, *, clock=time.monotonic):
+    def __init__(self, seconds: float, *, clock=None):
         if seconds <= 0:
             raise ServiceError(f"deadline must be > 0 seconds, got {seconds}")
         self.seconds = float(seconds)
-        self._clock = clock
-        self._started = clock()
+        # Resolved per instance (not bound at import) so a test can swap
+        # this module's clock without threading one through a request.
+        self._clock = clock if clock is not None else time.monotonic
+        self._started = self._clock()
 
     @classmethod
     def from_params(cls, params: dict, *, key: str = "deadline_ms",
-                    clock=time.monotonic) -> "Deadline | None":
+                    clock=None) -> "Deadline | None":
         """Parse ``deadline_ms`` from a params dict; None when absent."""
         raw = params.get(key)
         if raw is None:

@@ -35,12 +35,6 @@ The second block lists the operator routes (:data:`DIAGNOSTIC_ENDPOINTS`);
 ``/replication/*`` answer 404 unless replication is attached.  ``/metrics``
 is a transport concern, rendered by the HTTP front end itself.
 
-The service can also answer from **θ-range shards** instead of one
-monolithic index: pass ``shards=N`` to scatter/gather over an in-memory
-:class:`~repro.service.sharding.ShardRouter`, or serve a persisted shard
-plan directory (``repro shard-plan``) directly — answers stay
-bit-identical to the unsharded index either way.
-
 ``/update`` is the one write path: it routes the batch through the
 streaming engine (:mod:`repro.streaming`), persists the refreshed artifact
 with the usual atomic directory swap, and puts the repaired index straight
@@ -67,12 +61,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import (
-    DeadlineExceededError,
-    ReproError,
-    ServiceError,
-    StreamingError,
-)
+from ..errors import ReproError, ServiceError, StreamingError
 from ..obs.log import log_request
 from ..obs.memory import memory_snapshot, rss_bytes
 from ..obs.metrics import BATCH_SIZE_BUCKETS, MetricRegistry
@@ -87,7 +76,6 @@ from .artifacts import ARRAYS_FILENAME, read_manifest, save_artifact
 from .cache import IndexCache
 from .index import TipIndex
 from .resilience import CircuitBreakerRegistry, Deadline
-from .sharding import ShardRouter, is_shard_plan, read_shard_plan
 
 __all__ = [
     "TipService",
@@ -139,7 +127,6 @@ DOCUMENTED_METRICS = (
     "repro_resilience_breakers_open",
     "repro_resilience_breaker_open_seconds",
     "repro_resilience_resyncs_total",
-    "repro_resilience_degraded_total",
     "repro_resilience_deadline_exceeded_total",
     "repro_faults_armed",
     "repro_faults_injected_total",
@@ -240,10 +227,8 @@ class TipService:
     params + optional JSON body in, JSON-able payload out, ``ServiceError``
     (carrying an HTTP status) on bad input.  The HTTP front end and the
     offline ``repro query`` command call it, which is what keeps their
-    answers byte-identical.  Serves plain ``*.tipidx`` artifacts, persisted
-    shard plans, or in-memory θ-range shard views (``shards=N``), and
-    optionally participates in leader/follower replication
-    (:meth:`attach_replication`).
+    answers byte-identical.  Serves ``*.tipidx`` artifacts and optionally
+    participates in leader/follower replication (:meth:`attach_replication`).
     """
 
     def __init__(
@@ -252,19 +237,9 @@ class TipService:
         *,
         cache_capacity: int = 8,
         mmap: bool = True,
-        shards: int | None = None,
     ):
         self.cache = IndexCache(cache_capacity)
         self.mmap = mmap
-        if shards is not None and int(shards) < 1:
-            raise ServiceError(f"shard count must be >= 1, got {shards}")
-        self.shard_count = int(shards) if shards is not None else None
-        # Persisted shard plans served directly: name -> loaded router.
-        self._routers: dict[str, ShardRouter] = {}
-        # In-memory shard views (shards=N): name -> (fingerprint, router),
-        # rebuilt lazily whenever the underlying artifact's fingerprint
-        # moves (i.e. after every applied /update).
-        self._shard_views: dict[str, tuple[str, ShardRouter]] = {}
         # Replication coordinator, attached after construction (if at all).
         self.replication = None
         self.requests: Counter = Counter()
@@ -276,10 +251,9 @@ class TipService:
         self.started_unix = time.time()
         self._started_monotonic = time.monotonic()
         self.registry = MetricRegistry()
-        # Per-target circuit breakers (replication push/poll, shard gather)
-        # and the degradation counters the resilience gauges read.
+        # Per-target circuit breakers (replication push/poll) and the
+        # deadline counter the resilience gauges read.
         self.breakers = CircuitBreakerRegistry()
-        self.degraded_total = 0
         self.deadline_exceeded_total = 0
         # SLO monitoring reads the cumulative request instruments; it must
         # exist before _init_metrics so the per-objective gauges can be
@@ -313,20 +287,10 @@ class TipService:
         self._artifacts: dict[str, Path] = {}
         for raw_path in artifact_paths:
             path = Path(raw_path)
-            if is_shard_plan(path):
-                # Shard plans load eagerly: fail at startup, and the
-                # router's arrays are memmapped so this stays cheap.
-                router = ShardRouter.load(path, mmap=self.mmap)
-                name = router.name or path.name
-            else:
-                manifest = read_manifest(path)  # validates eagerly: fail at startup
-                name = manifest.name
-                router = None
+            name = read_manifest(path).name  # validates eagerly: fail at startup
             if name in self._artifacts:
                 name = f"{name}#{len(self._artifacts)}"
             self._artifacts[name] = path
-            if router is not None:
-                self._routers[name] = router
         if not self._artifacts:
             raise ServiceError("no artifacts to serve", status=500)
 
@@ -335,11 +299,11 @@ class TipService:
     # ------------------------------------------------------------------
     @property
     def artifact_names(self) -> list[str]:
-        """Names of everything served (artifacts and shard plans alike)."""
+        """Names of every served artifact."""
         return list(self._artifacts)
 
     def artifact_path(self, name: str) -> Path:
-        """Filesystem path of a served artifact or shard plan, by name."""
+        """Filesystem path of a served artifact, by name."""
         return self._resolve(name)[1]
 
     def _resolve(self, name: str | None) -> tuple[str, Path]:
@@ -390,11 +354,6 @@ class TipService:
         with self._requests_lock:
             self.requests[metric_route(route)] += n
 
-    def count_degraded(self) -> None:
-        """Note one request answered with a partial (``degraded: true``) payload."""
-        with self._requests_lock:
-            self.degraded_total += 1
-
     def count_deadline_exceeded(self) -> None:
         """Note one request failed outright on its ``deadline_ms`` budget."""
         with self._requests_lock:
@@ -418,12 +377,10 @@ class TipService:
 
         The replication coordinator calls this after installing a leader
         snapshot over the artifact directory (a follower re-bootstrap):
-        the cache entry, any in-memory shard view and the displaced index
-        all described the *old* bytes.  The next read reloads and
-        re-shards lazily from the new manifest.
+        the cache entry and the displaced index described the *old* bytes.
+        The next read reloads lazily from the new manifest.
         """
         self.artifact_path(name)  # 404 on unknown names
-        self._shard_views.pop(name, None)
         self.cache.clear()
 
     # ------------------------------------------------------------------
@@ -555,15 +512,10 @@ class TipService:
             "Follower snapshot re-bootstraps performed after divergence "
             "or log compaction (0 on the leader).",
         )
-        self._resilience_degraded = registry.gauge(
-            "repro_resilience_degraded_total",
-            "Requests answered with a partial (degraded: true) payload "
-            "because a deadline expired mid-gather.",
-        )
         self._resilience_deadline_exceeded = registry.gauge(
             "repro_resilience_deadline_exceeded_total",
             "Requests failed with 503 because their deadline_ms budget "
-            "expired before any answer existed.",
+            "expired before they were answered.",
         )
         self._faults_armed = registry.gauge(
             "repro_faults_armed",
@@ -637,7 +589,6 @@ class TipService:
         self._resilience_breakers_open.set(self.breakers.open_count())
         self._resilience_breaker_open_seconds.set(self.breakers.oldest_open_seconds())
         with self._requests_lock:
-            self._resilience_degraded.set(self.degraded_total)
             self._resilience_deadline_exceeded.set(self.deadline_exceeded_total)
         fault_state = faults.metrics()
         self._faults_armed.set(1.0 if fault_state["armed"] else 0.0)
@@ -804,41 +755,11 @@ class TipService:
                 time.sleep(0.05)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _plan_summary(self, name: str, path: Path) -> dict:
-        """Per-shard-plan /stats summary (parallel to `_manifest_summary`)."""
-        router = self._routers[name]
-        plan = read_shard_plan(path)
-        return {
-            "kind": str(plan.get("kind")),
-            "side": router.side,
-            "algorithm": router.algorithm,
-            "n_vertices": router.n_vertices,
-            "max_tip_number": router.max_tip_number,
-            "n_levels": router.n_levels,
-            "format_version": int(plan.get("format_version", 1)),
-            "fingerprint": router.fingerprint,
-            # Unified lineage field (see _manifest_summary): the manifest
-            # fingerprint of the artifact lineage this plan was cut from.
-            "base_fingerprint": router.base_fingerprint,
-            "source_fingerprint": str(plan.get("source_fingerprint", "")),
-            "has_graph": False,
-            "loaded": True,
-            "sharding": {
-                "mode": "plan",
-                "n_shards": router.n_shards,
-                "requested_shards": router.requested_shards,
-                "shards": [shard.summary() for shard in router.shards],
-            },
-        }
-
     def _manifest_summary(self, name: str | None) -> dict:
         """Per-artifact /stats summary from the manifest alone (no load)."""
-        name, path = self._resolve(name)
-        if name in self._routers:
-            return self._plan_summary(name, path)
-        manifest = self._read_manifest_retrying(path)
+        manifest = self._read_manifest_retrying(self.artifact_path(name))
         streaming = manifest.streaming
-        summary = {
+        return {
             "side": manifest.decomposition.get("side"),
             "algorithm": str(manifest.decomposition.get("algorithm", "")),
             "n_vertices": manifest.summary.get("n_vertices"),
@@ -873,50 +794,10 @@ class TipService:
                 "modes": dict(streaming.get("modes", {})),
             },
         }
-        if self.shard_count:
-            view = self._shard_views.get(name)
-            summary["sharding"] = {
-                "mode": "in-memory",
-                "n_shards": view[1].n_shards if view else self.shard_count,
-                "requested_shards": self.shard_count,
-            }
-        return summary
 
-    def index_for(self, name: str | None = None) -> TipIndex | ShardRouter:
-        """The query engine for an artifact name: index, plan, or shard view."""
-        name, path = self._resolve(name)
-        if name in self._routers:
-            return self._routers[name]
-        index = self.cache.get_or_load(path, mmap=self.mmap)
-        if not self.shard_count:
-            return index
-        # In-memory sharded serving: the router slices the cached index's
-        # arrays zero-copy, and is rebuilt whenever the fingerprint moves
-        # (a concurrent rebuild is benign — both routers are exact).
-        view = self._shard_views.get(name)
-        if view is not None and view[0] == index.fingerprint:
-            return view[1]
-        router = ShardRouter.from_index(index, self.shard_count, name=name)
-        self._shard_views[name] = (index.fingerprint, router)
-        return router
-
-    def base_index_for(self, name: str | None = None) -> TipIndex:
-        """The unsharded :class:`TipIndex` behind an artifact name.
-
-        Replication fingerprints and repairs this base index even when the
-        service answers queries through a θ-range shard view; persisted
-        shard plans carry no base index (they are read-only) and refuse.
-        """
-        engine = self.index_for(name)
-        if isinstance(engine, ShardRouter):
-            resolved = name if name is not None else self.artifact_names[0]
-            if resolved in self._routers:
-                raise ServiceError(
-                    f"{resolved!r} is a persisted shard plan; replication "
-                    "needs the source *.tipidx artifact", status=409)
-            return self.cache.get_or_load(
-                self._artifacts[resolved], mmap=self.mmap)
-        return engine
+    def index_for(self, name: str | None = None) -> TipIndex:
+        """The cached :class:`TipIndex` for an artifact name (loaded on demand)."""
+        return self.cache.get_or_load(self._resolve(name)[1], mmap=self.mmap)
 
     # ------------------------------------------------------------------
     # Streaming updates (the one write path)
@@ -960,12 +841,6 @@ class TipService:
             raise ServiceError('update body must carry "insert" and/or "delete" edges')
 
         name, path = self._resolve(artifact)
-        if name in self._routers:
-            raise ServiceError(
-                "shard plans are read-only; apply updates to the source "
-                "artifact (or through the replication leader) and re-plan",
-                status=409,
-            )
         if self.replication is not None and not replicated:
             self.replication.check_writable()
 
@@ -1049,10 +924,6 @@ class TipService:
             repaired.fingerprint = new_manifest.fingerprint
             self.cache.invalidate(manifest.fingerprint)
             self.cache.put(new_manifest.fingerprint, repaired)
-            # The in-memory shard view (if any) sliced the displaced
-            # snapshot's arrays; drop it so the next read re-shards the
-            # repaired index.
-            self._shard_views.pop(name, None)
             with self._requests_lock:
                 self.update_modes[update.mode] += 1
             # Leader fan-out after the local commit, still under the
@@ -1139,10 +1010,7 @@ class TipService:
             return [error] * len(vertices)
         ids = np.asarray(vertices, dtype=np.int64)
         if ids.size and 0 <= int(ids.min()) and int(ids.max()) < index.n_vertices:
-            # A TipIndex exposes the dense per-vertex array; a ShardRouter
-            # answers the same gather by shard-scatter (still vectorized).
-            dense = getattr(index, "tip_numbers", None)
-            thetas = dense[ids] if dense is not None else index.gather_thetas(ids)
+            thetas = index.tip_numbers[ids]
             return [
                 {"vertex": int(vertex), "theta": int(theta)}
                 for vertex, theta in zip(vertices, thetas)
@@ -1156,39 +1024,6 @@ class TipService:
             except ServiceError as error:
                 results.append(error)
         return results
-
-    def _theta_batch_deadline(self, index, vertices, deadline: Deadline) -> dict:
-        """Deadline-bounded ``/theta/batch``.
-
-        Byte-identical to the undeadlined answer whenever everything
-        resolves in time; a structured ``degraded: true`` partial answer
-        (``None`` thetas for unresolved shards) when some shards miss the
-        budget; 503 + ``Retry-After`` when no shard resolved at all.
-        """
-        if deadline.expired():
-            self.count_deadline_exceeded()
-            deadline.raise_if_expired("/theta/batch")
-        if not isinstance(index, ShardRouter):
-            # A single index gathers atomically: either it answers in time
-            # or the deadline check above already failed the request.
-            return {"vertices": vertices, "thetas": index.theta_batch(vertices)}
-        thetas, unresolved = index.theta_batch_degraded(vertices, deadline=deadline)
-        if not unresolved:
-            return {"vertices": vertices, "thetas": thetas}
-        resolved = sum(1 for theta in thetas if theta is not None)
-        if resolved == 0 and len(thetas) > 0:
-            self.count_deadline_exceeded()
-            raise DeadlineExceededError(
-                f"no shard resolved within the {deadline.seconds * 1000.0:.0f}ms "
-                "deadline", retry_after=max(0.05, deadline.seconds))
-        self.count_degraded()
-        return {
-            "vertices": vertices,
-            "thetas": thetas,
-            "degraded": True,
-            "resolved": resolved,
-            "unresolved_shards": unresolved,
-        }
 
     # ------------------------------------------------------------------
     # Route handlers (see ROUTES): each takes (params, body)
@@ -1248,7 +1083,6 @@ class TipService:
             "faults": faults.metrics(),
         }
         with self._requests_lock:
-            resilience["degraded_total"] = self.degraded_total
             resilience["deadline_exceeded_total"] = self.deadline_exceeded_total
         if self.replication is not None:
             resilience["retry"] = self.replication.retry_policy.stats()
@@ -1275,9 +1109,12 @@ class TipService:
             deadline = Deadline.from_params(params)
         index = self.index_for(params.get("artifact"))
         vertices = self._vertices_param(params, body)
-        if deadline is None:
-            return {"vertices": vertices, "thetas": index.theta_batch(vertices)}
-        return self._theta_batch_deadline(index, vertices, deadline)
+        # One index gathers atomically: a request either starts within its
+        # budget and gets the exact answer, or fails whole with a 503.
+        if deadline is not None and deadline.expired():
+            self.count_deadline_exceeded()
+            deadline.raise_if_expired("/theta/batch")
+        return {"vertices": vertices, "thetas": index.theta_batch(vertices)}
 
     def _top_k(self, params: dict, body: dict | None) -> dict:
         index = self.index_for(params.get("artifact"))

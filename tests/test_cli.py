@@ -224,6 +224,12 @@ class TestEntryPoints:
                 server.kill()
                 server.wait(timeout=30)
             server.stdout.close()
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve", str(artifact), "--transport", "thread"])
-        assert excinfo.value.code == 2
+        # Removed surfaces are usage errors: the threaded transport, the
+        # in-memory shard router and the shard-plan command.
+        for argv in (["serve", str(artifact), "--transport", "thread"],
+                     ["serve", str(artifact), "--shards", "2"],
+                     ["shard-plan", str(artifact), "--shards", "2",
+                      "--out", str(tmp_path / "X")]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv

@@ -1,9 +1,8 @@
 """Chaos property: seeded fault schedules never break prefix consistency.
 
 A hypothesis-generated :class:`~repro.service.faults.FaultPlan` (count-
-capped rules over the replication and scatter/gather fault sites) runs
-against a leader (2-shard router) + two followers wired together by a
-socket-free loopback HTTP client.  Under *any* such schedule:
+capped rules over the replication fault sites) runs against a leader +
+two followers wired together by a socket-free loopback HTTP client.  Under *any* such schedule:
 
 * every successful read is byte-identical to some prefix-consistent
   snapshot of the update sequence (faults turn into failed requests or
@@ -49,7 +48,7 @@ PROBE = {"vertices": list(range(40))}
 #: The sites a schedule may break.  log.append / artifact.save are
 #: exercised by the dedicated crash-recovery tests — here they would
 #: (correctly) fail leader updates, which is not the property under test.
-CHAOS_SITES = ("replication.push", "replication.poll", "shard.gather")
+CHAOS_SITES = ("replication.push", "replication.poll")
 
 _rule = st.fixed_dictionaries({
     "site": st.sampled_from(CHAOS_SITES),
@@ -155,7 +154,7 @@ def test_chaos_schedule_preserves_prefix_consistency(
             arts[node] = root / node / "blocks.tipidx"
             shutil.copytree(source, arts[node])
 
-        leader = TipService([arts["leader"]], shards=2)
+        leader = TipService([arts["leader"]])
         f1 = TipService([arts["f1"]])
         f2 = TipService([arts["f2"]])
         loop = _loopback({"http://leader": leader,

@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 
 from repro.core.receipt import tip_decomposition
 from repro.datasets.generators import planted_blocks
-from repro.errors import ServiceError, ServiceOverloadedError
+from repro.errors import DeadlineExceededError, ServiceError, ServiceOverloadedError
 from repro.service.artifacts import save_artifact
 from repro.service.coalesce import ThetaCoalescer, UpdateAdmissionController
+from repro.service.resilience import Deadline
 from repro.service.server import TipService
 
 N_U = 40
@@ -130,6 +131,25 @@ class TestCoalescerEquivalence:
         assert metrics["batches_flushed"] == 1
         assert metrics["largest_batch"] == 2
         assert payloads[0] == {"vertex": 1, "theta": int(result.tip_numbers[1])}
+
+    def test_expired_deadline_fails_in_band(self, artifact):
+        path, _, result = artifact
+        service = TipService([path])
+        clock = [0.0]
+        spent = Deadline(0.01, clock=lambda: clock[0])
+        clock[0] = 1.0  # the budget ran out before the flush
+
+        async def run():
+            coalescer = ThetaCoalescer(service, max_delay=0.02)
+            late = coalescer.submit(None, 1, deadline=spent)
+            mate = coalescer.submit(None, 2)
+            return await asyncio.gather(late, mate, return_exceptions=True)
+
+        late, mate = asyncio.run(run())
+        assert isinstance(late, DeadlineExceededError)
+        assert late.status == 503
+        assert mate == {"vertex": 2, "theta": int(result.tip_numbers[2])}
+        assert service.deadline_exceeded_total == 1
 
     def test_unknown_artifact_rejects_whole_batch_in_band(self, artifact):
         path, _, _ = artifact

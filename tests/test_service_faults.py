@@ -42,10 +42,10 @@ class TestFaultRule:
         rule = FaultRule(site="replication.*", action="drop")
         assert rule.matches("replication.push")
         assert rule.matches("replication.poll")
-        assert not rule.matches("shard.gather")
-        exact = FaultRule(site="shard.gather", action="drop")
-        assert exact.matches("shard.gather")
-        assert not exact.matches("shard.gather.extra")
+        assert not rule.matches("artifact.save")
+        exact = FaultRule(site="artifact.save", action="drop")
+        assert exact.matches("artifact.save")
+        assert not exact.matches("artifact.save.extra")
 
 
 class TestFaultPlan:
@@ -119,14 +119,14 @@ class TestFaultPlan:
 class TestParse:
     def test_string_syntax(self):
         plan = FaultPlan.parse(
-            "replication.push:drop:p=0.5:count=3;shard.gather:delay:ms=20",
+            "replication.push:drop:p=0.5:count=3;artifact.save:delay:ms=20",
             seed=9)
         assert plan.seed == 9
         assert len(plan.rules) == 2
         first, second = plan.rules
         assert (first.site, first.action, first.probability, first.count) == (
             "replication.push", "drop", 0.5, 3)
-        assert (second.site, second.action) == ("shard.gather", "delay")
+        assert (second.site, second.action) == ("artifact.save", "delay")
         assert second.delay_seconds == pytest.approx(0.02)
 
     def test_string_syntax_rejects_garbage(self):

@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import json
 import random
+import types
 
 import pytest
 
+from repro.core.receipt import tip_decomposition
+from repro.datasets.generators import planted_blocks
 from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     ServiceError,
 )
+from repro.service import resilience
+from repro.service.artifacts import save_artifact
 from repro.service.resilience import (
     CircuitBreaker,
     CircuitBreakerRegistry,
     Deadline,
     RetryPolicy,
 )
+from repro.service.server import TipService
 
 
 class FakeClock:
@@ -256,3 +263,49 @@ class TestDeadline:
     def test_rejects_non_positive_seconds(self):
         with pytest.raises(ServiceError):
             Deadline(0.0)
+
+
+@pytest.fixture(scope="module")
+def artifact(tmp_path_factory):
+    graph = planted_blocks(40, 25, [(8, 6), (6, 4)], background_edges=50, seed=3)
+    result = tip_decomposition(graph, "U", algorithm="receipt", n_partitions=4)
+    path = tmp_path_factory.mktemp("deadline") / "blocks.tipidx"
+    save_artifact(path, graph, result)
+    return path
+
+
+class TestServedDeadlines:
+    """The ``deadline_ms`` surface of ``/theta/batch`` on a TipService."""
+
+    PROBE = {"vertices": ",".join(map(str, range(40)))}
+
+    def test_deadline_param_with_time_left_is_exact(self, artifact):
+        service = TipService([artifact])
+        want = service.handle("/theta/batch", dict(self.PROBE))
+        got = service.handle("/theta/batch",
+                             dict(self.PROBE, deadline_ms="30000"))
+        assert json.dumps(got, sort_keys=True, default=str) == \
+            json.dumps(want, sort_keys=True, default=str)
+
+    def test_spent_budget_is_a_whole_request_503(self, artifact, monkeypatch):
+        service = TipService([artifact])
+        ticks = iter(range(0, 1000, 10))  # every clock read advances 10 s
+        with monkeypatch.context() as patch:
+            patch.setattr(resilience, "time", types.SimpleNamespace(
+                monotonic=lambda: float(next(ticks))))
+            with pytest.raises(DeadlineExceededError) as excinfo:
+                service.handle("/theta/batch",
+                               dict(self.PROBE, deadline_ms="500"))
+        assert excinfo.value.status == 503
+        assert excinfo.value.retry_after > 0
+        stats = service.handle("/stats")["resilience"]
+        assert stats["deadline_exceeded_total"] == 1
+
+    def test_bad_deadline_is_a_400(self, artifact):
+        service = TipService([artifact])
+        for bad in ("soon", "0", "-10"):
+            with pytest.raises(ServiceError) as excinfo:
+                service.handle(
+                    "/theta/batch",
+                    {"vertices": "0,1", "deadline_ms": bad})
+            assert excinfo.value.status == 400
